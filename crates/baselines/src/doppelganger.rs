@@ -258,18 +258,17 @@ impl DoppelGangerLite {
                 }
             }
         }
-        // Tape-free rollout.
+        // Tape-free rollout: one `[n, t_out]` series row per pixel,
+        // scattered into the time-major map.
         let feat = crate::util::lrelu(self.g_embed.forward_infer(&self.store, &cond));
         let xw = feat.matmul(self.store.get(self.g_lstm.wx_param()));
-        let (mut hh, mut cc) = self.g_lstm.zero_state_infer(n);
+        let rows = self
+            .g_lstm
+            .rollout_infer(&self.store, &xw, &self.g_head, t_out);
         let mut out = TrafficMap::zeros(t_out, h, w);
-        for t in 0..t_out {
-            let (h2, c2) = self.g_lstm.step_infer_projected(&self.store, &xw, &hh, &cc);
-            hh = h2;
-            cc = c2;
-            let frame = self.g_head.forward_infer(&self.store, &hh);
-            for i in 0..n {
-                out.data_mut()[t * n + i] = frame.data()[i];
+        for i in 0..n {
+            for t in 0..t_out {
+                out.data_mut()[t * n + i] = rows.data()[i * t_out + t];
             }
         }
         out

@@ -13,6 +13,7 @@ use crate::fourier::{expand_rows_to_series, irfft_basis};
 use rand::Rng;
 use spectragan_nn::layers::Activation;
 use spectragan_nn::{Binding, Conv2d, Linear, Lstm, Mlp, ParamStore, Tensor, Var};
+use spectragan_obs as obs;
 
 /// Output of one generator forward pass.
 pub struct GenOut {
@@ -147,14 +148,21 @@ impl Generator {
     /// context patches: spectrum rows are k-expanded before the inverse
     /// FFT (§2.2.4), the residual LSTM simply runs longer. Returns
     /// series rows `[N_px, k·T]`.
+    ///
+    /// Three obs spans cover the stages: `infer.encode` (the encoder
+    /// convs), `infer.spectral` (spectrum features, head and expanded
+    /// basis matmul) and `infer.rollout` (time features, the LSTM
+    /// rollout, the amplitude head and the sum of the two paths).
     pub fn infer(&self, store: &ParamStore, ctx: &Tensor, z: &Tensor, k: usize) -> Tensor {
         let lrelu = |t: Tensor| t.map(|v| if v > 0.0 { v } else { 0.2 * v });
+        let sp = obs::span_cat("infer.encode", "generate");
         let mut h = lrelu(self.enc1.forward_infer(store, ctx));
         if self.cfg.patch_context() > self.cfg.patch_traffic {
             h = h.avg_pool2();
         }
         let h = lrelu(self.enc2.forward_infer(store, &h));
         let hz = Tensor::concat(&[&h, z], 1);
+        drop(sp);
         let t = self.cfg.train_len;
         let t_out = k * t;
         let to_rows = |feat: &Tensor| -> Tensor {
@@ -165,6 +173,7 @@ impl Generator {
 
         let mut series: Option<Tensor> = None;
         if let (Some(feat), Some(head)) = (&self.spec_feat, &self.spec_head) {
+            let _sp = obs::span_cat("infer.spectral", "generate");
             let rows = to_rows(&lrelu(feat.forward_infer(store, &hz)));
             let spec = head.forward_infer(store, &rows);
             // At k = 1 the cached expanded basis equals `self.basis`;
@@ -174,24 +183,11 @@ impl Generator {
         if let (Some(feat), Some(lstm), Some(head)) =
             (&self.time_feat, &self.time_lstm, &self.time_head)
         {
+            let _sp = obs::span_cat("infer.rollout", "generate");
             let rows = to_rows(&lrelu(feat.forward_infer(store, &hz)));
             let n_px = rows.shape().dim(0);
             let xw = store.infer_matmul(&rows, lstm.wx_param());
-            let (mut hh, mut cc) = lstm.zero_state_infer(n_px);
-            // Roll out step-major: each step's head output is one
-            // contiguous row, so the write is a single memcpy instead
-            // of an n_px-way column scatter; transpose once at the end
-            // (same values, so the result stays bit-equal). Per-step
-            // buffers go back to the arena as they are replaced.
-            let mut steps = Tensor::zeros([t_out, n_px]);
-            for step in 0..t_out {
-                let (h2, c2) = lstm.step_infer_projected(store, &xw, &hh, &cc);
-                hh = h2;
-                cc = c2;
-                let out = head.forward_infer(store, &hh);
-                steps.data_mut()[step * n_px..(step + 1) * n_px].copy_from_slice(out.data());
-            }
-            let mut xt = steps.transpose2();
+            let mut xt = lstm.rollout_infer(store, &xw, head, t_out);
             if let Some(amp) = &self.amp_head {
                 let a = amp.forward_infer(store, &rows);
                 for px in 0..n_px {

@@ -47,8 +47,8 @@ impl Activation {
 /// Fully-connected layer `y = x·W + b` with `x: [N, in]`, `y: [N, out]`.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    w: ParamId,
-    b: ParamId,
+    pub(crate) w: ParamId,
+    pub(crate) b: ParamId,
     in_features: usize,
     out_features: usize,
 }

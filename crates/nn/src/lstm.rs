@@ -16,9 +16,10 @@
 //! training.
 
 use crate::init;
+use crate::layers::Linear;
 use crate::param::{Binding, ParamId, ParamStore};
 use rand::Rng;
-use spectragan_tensor::{Tensor, Var};
+use spectragan_tensor::{backend, pool, Tensor, Var};
 
 /// Hidden and cell state of an LSTM, each `[N, hidden]`.
 #[derive(Clone)]
@@ -192,6 +193,106 @@ impl Lstm {
             Tensor::zeros([n, self.hidden_size]),
             Tensor::zeros([n, self.hidden_size]),
         )
+    }
+
+    /// Tape-free rollout of `t_out` steps from the zero state, each
+    /// step's hidden state projected through the one-output `head`:
+    /// returns `[N, t_out]`, row `r` holding row `r`'s series, given
+    /// the precomputed input projection `xw: [N, 4·hidden]` (a
+    /// time-constant input, see [`Lstm::precompute_input`]).
+    ///
+    /// Rows are independent recurrences, so each row runs all of its
+    /// steps with `h`, `c` and the gates in scratch of its own, and
+    /// rows are spread over [`pool::par_chunks_mut`]. The arithmetic is
+    /// the step loop's ([`Lstm::step_infer_projected`] followed by
+    /// [`Linear::forward_infer`]) in the same order: the gate and head
+    /// mat-vecs accumulate in the scalar matmul's order (ascending `p`,
+    /// zero `h` entries skipped), gates are `(xw + h·Wh) + b`, and the
+    /// activations go through the active backend's
+    /// `sigmoid_slice`/`tanh_slice`. Under the scalar backend the
+    /// result is therefore bit-identical to the step loop, at any
+    /// thread count; under any backend it is bit-identical across
+    /// thread counts. Reduced-precision weights are widened once per
+    /// call ([`ParamStore::weight`]), which reproduces the scalar
+    /// dequantizing matmul's `av · (q · s)` exactly.
+    ///
+    /// # Panics
+    /// Panics unless `xw` is `[N, 4·hidden]` and `head` maps `hidden`
+    /// features to one output.
+    pub fn rollout_infer(
+        &self,
+        store: &ParamStore,
+        xw: &Tensor,
+        head: &Linear,
+        t_out: usize,
+    ) -> Tensor {
+        let hs = self.hidden_size;
+        let g4 = 4 * hs;
+        assert!(
+            xw.shape().ndim() == 2 && xw.shape().dim(1) == g4,
+            "rollout_infer: input projection {} is not [N, {g4}]",
+            xw.shape()
+        );
+        assert!(
+            head.in_features() == hs && head.out_features() == 1,
+            "rollout_infer: head maps {} → {}, expected {hs} → 1",
+            head.in_features(),
+            head.out_features()
+        );
+        let n = xw.shape().dim(0);
+        let mut out = Tensor::zeros([n, t_out]);
+        if out.numel() == 0 {
+            return out;
+        }
+        let wh = store.weight(self.wh);
+        let b = store.weight(self.b);
+        let head_w = store.weight(head.w);
+        let head_b = store.weight(head.b).data()[0];
+        let (wh, b, head_w) = (wh.data(), b.data(), head_w.data());
+        let act = backend::active();
+        pool::par_chunks_mut(out.data_mut(), t_out, |row, series| {
+            let xw_row = &xw.data()[row * g4..(row + 1) * g4];
+            let mut scratch = vec![0.0f32; g4 + 3 * hs];
+            let (gates, state) = scratch.split_at_mut(g4);
+            let (h, state) = state.split_at_mut(hs);
+            let (c, tanh_c) = state.split_at_mut(hs);
+            for y in series {
+                gates.fill(0.0);
+                for (p, &hv) in h.iter().enumerate() {
+                    if hv == 0.0 {
+                        continue;
+                    }
+                    for (g, &w) in gates.iter_mut().zip(&wh[p * g4..(p + 1) * g4]) {
+                        *g += hv * w;
+                    }
+                }
+                for ((g, &x), &bv) in gates.iter_mut().zip(xw_row).zip(b) {
+                    *g = (x + *g) + bv;
+                }
+                act.sigmoid_slice(&mut gates[..2 * hs]);
+                act.tanh_slice(&mut gates[2 * hs..3 * hs]);
+                act.sigmoid_slice(&mut gates[3 * hs..]);
+                let (i, rest) = gates.split_at(hs);
+                let (f, rest) = rest.split_at(hs);
+                let (g, o) = rest.split_at(hs);
+                for ((cv, &fv), (&iv, &gv)) in c.iter_mut().zip(f).zip(i.iter().zip(g)) {
+                    *cv = fv * *cv + iv * gv;
+                }
+                tanh_c.copy_from_slice(c);
+                act.tanh_slice(tanh_c);
+                for ((hv, &ov), &tv) in h.iter_mut().zip(o).zip(&*tanh_c) {
+                    *hv = ov * tv;
+                }
+                let mut acc = 0.0f32;
+                for (&hv, &w) in h.iter().zip(head_w) {
+                    if hv != 0.0 {
+                        acc += hv * w;
+                    }
+                }
+                *y = acc + head_b;
+            }
+        });
+        out
     }
 
     /// Runs the LSTM over a sequence of inputs, returning the hidden

@@ -26,8 +26,9 @@
 //!   a worker additionally wraps each connection in `catch_unwind`.
 //!
 //! Endpoints: `POST /generate` (JSON body `{"city", "t_out", "seed"?,
-//! "gen_batch"?, "format"?}`), `GET /healthz`, `GET /metrics`
-//! (Prometheus text from `spectragan-obs`), `GET /cities`.
+//! "gen_batch"?, "format"?}`, seed below 2^53), `GET /healthz`,
+//! `GET /metrics` (Prometheus text from `spectragan-obs`),
+//! `GET /cities`.
 
 pub mod admission;
 pub mod client;
@@ -270,6 +271,25 @@ struct GenerateRequest {
     format: Option<String>,
 }
 
+/// The largest `/generate` seed the server accepts, 2^53 − 1. The JSON
+/// layer holds every number as an `f64`, whose integers are exact only
+/// below 2^53, so a larger seed would arrive rounded and silently
+/// generate the city of a different seed.
+const MAX_REQUEST_SEED: u64 = (1 << 53) - 1;
+
+/// The request's seed (0 when absent), or a typed refusal when JSON
+/// cannot have carried it exactly.
+fn request_seed(seed: Option<u64>) -> Result<u64, CoreError> {
+    match seed {
+        Some(seed) if seed > MAX_REQUEST_SEED => Err(CoreError::InvalidRequest(format!(
+            "seed must be below 2^53 = {}: JSON numbers are f64, so a larger seed is not \
+             carried exactly",
+            MAX_REQUEST_SEED + 1
+        ))),
+        seed => Ok(seed.unwrap_or(0)),
+    }
+}
+
 /// How a `/generate` response is framed.
 enum OutputFormat {
     /// Chunked SGBD band frames, streamed while generation runs.
@@ -396,7 +416,13 @@ fn handle_generate(mut stream: TcpStream, state: &ServerState, req: &Request) {
         );
         return;
     }
-    let seed = gen_req.seed.unwrap_or(0);
+    let seed = match request_seed(gen_req.seed) {
+        Ok(seed) => seed,
+        Err(e) => {
+            respond_error(&mut stream, 400, "Bad Request", &e.to_string());
+            return;
+        }
+    };
     let gen_batch = gen_req.gen_batch.unwrap_or(16);
     let format = match gen_req.format.as_deref() {
         None | Some("bands") => OutputFormat::Bands,
@@ -514,4 +540,37 @@ fn handle_generate(mut stream: TcpStream, state: &ServerState, req: &Request) {
         Err(e) => respond_error(&mut stream, 400, "Bad Request", &e.to_string()),
     }
     let _ = stream.flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seeds_json_cannot_carry_are_refused() {
+        assert_eq!(request_seed(None).unwrap(), 0);
+        assert_eq!(request_seed(Some(7)).unwrap(), 7);
+        assert_eq!(
+            request_seed(Some(MAX_REQUEST_SEED)).unwrap(),
+            MAX_REQUEST_SEED
+        );
+        for seed in [MAX_REQUEST_SEED + 1, u64::MAX] {
+            let err = request_seed(Some(seed)).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidRequest(_)), "{err:?}");
+            assert!(err.to_string().contains("seed must be below 2^53"), "{err}");
+        }
+    }
+
+    /// 2^53 + 1 reaches the server as 2^53: the rounding the refusal
+    /// exists for, seen through the request parser.
+    #[test]
+    fn json_rounds_seeds_past_2_pow_53() {
+        let req: GenerateRequest =
+            serde_json::from_str(r#"{"city":"a","t_out":24,"seed":9007199254740993}"#).unwrap();
+        assert_eq!(req.seed, Some(MAX_REQUEST_SEED + 1));
+        assert!(request_seed(req.seed).is_err());
+        let req: GenerateRequest =
+            serde_json::from_str(r#"{"city":"a","t_out":24,"seed":9007199254740991}"#).unwrap();
+        assert_eq!(request_seed(req.seed).unwrap(), MAX_REQUEST_SEED);
+    }
 }

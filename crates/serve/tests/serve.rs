@@ -406,6 +406,12 @@ fn invalid_requests_get_typed_4xx_and_server_survives() {
             400,
             "server limit",
         ),
+        // 2^53 + 1 would arrive as 2^53 and serve a different seed.
+        (
+            gen_body("city_a", 24, (1 << 53) + 1, 8, "bands"),
+            400,
+            "seed must be below 2^53",
+        ),
     ];
     for (body, want_status, needle) in cases {
         let resp = request(&server.addr, "POST", "/generate", &body).unwrap();
