@@ -267,16 +267,36 @@ pub fn expanded_irfft_basis(t: usize, k: usize) -> Arc<Tensor> {
 
 /// Expands *normalized* spectrum rows `[N, 2F]` of a length-`t` signal
 /// by an integer factor `k` and inverse-transforms them, returning
-/// time rows `[N, k·t]` (the §2.2.4 long-generation path).
-///
-/// One matmul against the cached [`expanded_irfft_basis`] — agreeing
-/// with the per-pixel `expand_spectrum` + `irfft` DSP path to ≤1e-4
-/// (they are the same linear map; only the float rounding differs).
+/// time rows `[N, k·t]` (the §2.2.4 long-generation path). The same as
+/// [`expand_rows_to_steps`] at `t_out = k·t`.
 pub fn expand_rows_to_series(rows: &Tensor, t: usize, k: usize) -> Tensor {
+    expand_rows_to_steps(rows, t, k * t)
+}
+
+/// Inverse-transforms *normalized* spectrum rows `[N, 2F]` of a
+/// length-`t` signal into the first `t_out` steps of their
+/// `k = ceil(t_out / t)`-fold expansion: time rows `[N, t_out]`.
+///
+/// One matmul against the first `t_out` columns of the cached
+/// [`expanded_irfft_basis`]`(t, k)` — agreeing with the per-pixel
+/// `expand_spectrum` + `irfft` DSP path to ≤1e-4 (they are the same
+/// linear map; only the float rounding differs). Every backend's
+/// matmul sums element `(i, j)` in an order that does not depend on the
+/// column count, so the result is bit-identical to the first `t_out`
+/// columns of the full `k·t` expansion.
+///
+/// # Panics
+/// Panics if `t_out` is zero or the row width is not `2·(t/2 + 1)`.
+pub fn expand_rows_to_steps(rows: &Tensor, t: usize, t_out: usize) -> Tensor {
     let two_f = rows.shape().dim(1);
     assert_eq!(two_f, 2 * (t / 2 + 1), "row width does not match t");
+    let k = t_out.div_ceil(t);
     let basis = expanded_irfft_basis(t, k);
-    rows.matmul(&basis)
+    if t_out == k * t {
+        rows.matmul(&basis)
+    } else {
+        rows.matmul(&basis.narrow(1, 0, t_out))
+    }
 }
 
 #[cfg(test)]

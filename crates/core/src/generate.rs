@@ -78,7 +78,8 @@ impl SpectraGan {
     /// The output is clamped to non-negative values and generated at
     /// the training granularity; `t_out` beyond the training length is
     /// produced by expanding the spectrum by `k = ceil(t_out / T)` and
-    /// rolling the residual LSTM for `k·T` steps, then truncating.
+    /// rolling the residual LSTM longer. Exactly `t_out` steps are
+    /// synthesized (see [`crate::model::Generator::infer_steps`]).
     pub fn generate(&self, context: &ContextMap, t_out: usize, seed: u64) -> TrafficMap {
         self.generate_opts(context, t_out, seed, true)
     }
@@ -281,7 +282,6 @@ impl SpectraGan {
             "backend",
         ));
         let (cfg, store, gen) = self.parts();
-        let k = t_out.div_ceil(cfg.train_len).max(1);
         let ctx_std = &prepared.ctx_std;
         let grid = GridSpec::new(ctx_std.height(), ctx_std.width());
         let layout = PatchLayout::new(
@@ -367,15 +367,10 @@ impl SpectraGan {
                         }
                     }
                 }
-                let rows = gen.infer(store, &ctx_batch, &z, k);
-                let t_gen = rows.shape().dim(1);
-                assert!(
-                    t_gen >= t_out,
-                    "generator produced {t_gen} steps, fewer than the requested {t_out}"
-                );
+                let rows = gen.infer_steps(store, &ctx_batch, &z, t_out);
                 let out = (0..p)
                     .map(|pi| {
-                        let patch_rows = rows.narrow(0, pi * px, px).narrow(1, 0, t_out);
+                        let patch_rows = rows.narrow(0, pi * px, px);
                         crate::fourier::rows_to_patch(&patch_rows, side, side)
                     })
                     .collect::<Vec<Tensor>>();

@@ -9,7 +9,7 @@
 //! batched across pixels — the paper's "batched LSTM".
 
 use crate::config::{SpectraGanConfig, Variant};
-use crate::fourier::{expand_rows_to_series, irfft_basis};
+use crate::fourier::{expand_rows_to_steps, irfft_basis};
 use rand::Rng;
 use spectragan_nn::layers::Activation;
 use spectragan_nn::{Binding, Conv2d, Linear, Lstm, Mlp, ParamStore, Tensor, Var};
@@ -145,15 +145,36 @@ impl Generator {
     }
 
     /// Tape-free generation of `k · train_len` steps for a batch of
-    /// context patches: spectrum rows are k-expanded before the inverse
-    /// FFT (§2.2.4), the residual LSTM simply runs longer. Returns
-    /// series rows `[N_px, k·T]`.
-    ///
-    /// Three obs spans cover the stages: `infer.encode` (the encoder
-    /// convs), `infer.spectral` (spectrum features, head and expanded
-    /// basis matmul) and `infer.rollout` (time features, the LSTM
-    /// rollout, the amplitude head and the sum of the two paths).
+    /// context patches: [`Generator::infer_steps`] at `t_out = k·T`.
+    /// Returns series rows `[N_px, k·T]`.
     pub fn infer(&self, store: &ParamStore, ctx: &Tensor, z: &Tensor, k: usize) -> Tensor {
+        self.infer_steps(store, ctx, z, k * self.cfg.train_len)
+    }
+
+    /// Tape-free generation of exactly `t_out` steps for a batch of
+    /// context patches: spectrum rows are expanded by
+    /// `k = ceil(t_out / T)` before the inverse FFT (§2.2.4) and only
+    /// the first `t_out` steps are synthesized, while the residual LSTM
+    /// simply runs `t_out` steps. Returns series rows `[N_px, t_out]`.
+    ///
+    /// The result is bit-identical to the first `t_out` columns of
+    /// [`Generator::infer`] at that `k`: the rollout starts from the
+    /// zero state and step `j` reads only earlier steps, and the
+    /// spectral matmul sums each element in an order that does not
+    /// depend on how many columns are kept.
+    ///
+    /// Four obs spans cover the stages: `infer.encode` (the encoder
+    /// convs), `infer.spectral` (spectrum features, head and expanded
+    /// basis matmul), `infer.time_feat` (the time-feature conv) and
+    /// `infer.rollout` (the LSTM rollout, the amplitude head and the
+    /// sum of the two paths).
+    pub fn infer_steps(
+        &self,
+        store: &ParamStore,
+        ctx: &Tensor,
+        z: &Tensor,
+        t_out: usize,
+    ) -> Tensor {
         let lrelu = |t: Tensor| t.map(|v| if v > 0.0 { v } else { 0.2 * v });
         let sp = obs::span_cat("infer.encode", "generate");
         let mut h = lrelu(self.enc1.forward_infer(store, ctx));
@@ -163,8 +184,6 @@ impl Generator {
         let h = lrelu(self.enc2.forward_infer(store, &h));
         let hz = Tensor::concat(&[&h, z], 1);
         drop(sp);
-        let t = self.cfg.train_len;
-        let t_out = k * t;
         let to_rows = |feat: &Tensor| -> Tensor {
             let d = feat.shape().clone();
             feat.permute(&[0, 2, 3, 1])
@@ -176,15 +195,18 @@ impl Generator {
             let _sp = obs::span_cat("infer.spectral", "generate");
             let rows = to_rows(&lrelu(feat.forward_infer(store, &hz)));
             let spec = head.forward_infer(store, &rows);
-            // At k = 1 the cached expanded basis equals `self.basis`;
-            // the shared cache keeps one copy per (t, k) across chunks.
-            series = Some(expand_rows_to_series(&spec, t, k));
+            // The shared cache keeps one expanded basis per (t, k)
+            // across chunks.
+            series = Some(expand_rows_to_steps(&spec, self.cfg.train_len, t_out));
         }
         if let (Some(feat), Some(lstm), Some(head)) =
             (&self.time_feat, &self.time_lstm, &self.time_head)
         {
+            let rows = {
+                let _sp = obs::span_cat("infer.time_feat", "generate");
+                to_rows(&lrelu(feat.forward_infer(store, &hz)))
+            };
             let _sp = obs::span_cat("infer.rollout", "generate");
-            let rows = to_rows(&lrelu(feat.forward_infer(store, &hz)));
             let n_px = rows.shape().dim(0);
             let xw = store.infer_matmul(&rows, lstm.wx_param());
             let mut xt = lstm.rollout_infer(store, &xw, head, t_out);

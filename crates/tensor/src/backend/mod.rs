@@ -7,10 +7,10 @@
 //! `baselines` pick a kernel implementation up without call-site
 //! changes:
 //!
-//! * [`scalar`] — the reference backend. Its loops are byte-for-byte
-//!   the pre-backend kernels, so every golden fixture, checkpoint
-//!   kill/resume artifact and determinism sweep recorded against them
-//!   stays bit-identical.
+//! * [`scalar`] — the reference backend. Every output element is summed
+//!   in the pre-backend kernels' order, so every golden fixture,
+//!   checkpoint kill/resume artifact and determinism sweep recorded
+//!   against them stays bit-identical.
 //! * [`simd`] — im2col + cache-blocked GEMM with
 //!   autovectorizer-friendly microkernel inner loops (plain indexed
 //!   slices the compiler lowers to packed `f32` lanes; `std::arch`
@@ -342,6 +342,16 @@ pub(crate) struct ConvDims {
     pub kw: usize,
     pub oh: usize,
     pub ow: usize,
+}
+
+impl ConvDims {
+    /// Multiply-adds of one conv2d-family call over this geometry
+    /// (padded taps included), the size [`crate::pool`] cutoffs take.
+    pub(crate) fn macs(&self) -> usize {
+        [self.cout, self.oh, self.ow, self.cin, self.kh, self.kw]
+            .iter()
+            .fold(self.n, |acc, &d| acc.saturating_mul(d))
+    }
 }
 
 /// Unpacks a rank-4 shape, with a contextual panic message.

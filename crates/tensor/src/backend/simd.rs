@@ -23,9 +23,12 @@
 //! **Determinism.** Results differ from the scalar backend only by
 //! float reassociation (≤ 1e-5 relative — see `tests/backend_parity.rs`)
 //! but are bit-identical *per backend* at any thread count: every
-//! parallel region is a [`crate::pool::par_chunks_mut`] over disjoint
-//! output rows/planes, and the per-element accumulation order inside a
-//! row is a pure function of the shapes.
+//! parallel region is a [`crate::pool::par_chunks_mut_macs`] over
+//! disjoint output rows/planes, and the per-element accumulation order
+//! inside a row is a pure function of the shapes. Each region passes
+//! its multiply-add count (element count for the transpose and col2im
+//! passes), so calls below [`crate::pool::MIN_PARALLEL_MACS`] skip the
+//! thread spawn and run on the calling thread.
 //!
 //! **Allocation.** All scratch (the column matrix, the transposed
 //! weight, the gradient columns) is taken from and recycled to the
@@ -235,7 +238,7 @@ impl Backend for SimdBackend {
         if out.numel() == 0 || k == 0 {
             return out;
         }
-        crate::pool::par_chunks_mut(out.data_mut(), n, |i, c_row| {
+        crate::pool::par_chunks_mut_macs(out.data_mut(), n, m * k * n, |i, c_row| {
             gemm_row(&a.data()[i * k..(i + 1) * k], b.data(), n, c_row);
         });
         out
@@ -258,7 +261,7 @@ impl Backend for SimdBackend {
         }
         // out[i, j] = ⟨a_row_i, b_row_j⟩ — both rows contiguous, so no
         // transpose needs materializing.
-        crate::pool::par_chunks_mut(out.data_mut(), n, |i, c_row| {
+        crate::pool::par_chunks_mut_macs(out.data_mut(), n, m * k * n, |i, c_row| {
             let a_row = &a.data()[i * k..(i + 1) * k];
             for (j, c) in c_row.iter_mut().enumerate() {
                 *c = dot(a_row, &b.data()[j * k..(j + 1) * k]);
@@ -282,7 +285,7 @@ impl Backend for SimdBackend {
         }
         // out[p, :] = Σ_i a[i, p] · b[i, :] — an axpy over b's rows
         // with the a-column gathered at stride k.
-        crate::pool::par_chunks_mut(out.data_mut(), n, |p, c_row| {
+        crate::pool::par_chunks_mut_macs(out.data_mut(), n, m * k * n, |p, c_row| {
             for i in 0..m {
                 let av = a.data()[i * k + p];
                 if av == 0.0 {
@@ -315,7 +318,7 @@ impl Backend for SimdBackend {
                 &mut col,
             );
             let out_b = &mut out.data_mut()[b * d.cout * np..(b + 1) * d.cout * np];
-            crate::pool::par_chunks_mut(out_b, np, |oc, c_row| {
+            crate::pool::par_chunks_mut_macs(out_b, np, d.cout * kdim * np, |oc, c_row| {
                 gemm_row_dense(&weight.data()[oc * kdim..(oc + 1) * kdim], &col, np, c_row);
             });
         }
@@ -353,12 +356,12 @@ impl Backend for SimdBackend {
         let khw = d.kh * d.kw;
         for b in 0..d.n {
             let g_b = &grad_out.data()[b * d.cout * np..(b + 1) * d.cout * np];
-            crate::pool::par_chunks_mut(&mut gcol, np, |kidx, row| {
+            crate::pool::par_chunks_mut_macs(&mut gcol, np, kdim * d.cout * np, |kidx, row| {
                 row.fill(0.0);
                 gemm_row_dense(&wt[kidx * d.cout..(kidx + 1) * d.cout], g_b, np, row);
             });
             let gin_b = &mut grad_in.data_mut()[b * img_len..(b + 1) * img_len];
-            crate::pool::par_chunks_mut(gin_b, d.h * d.w, |ic, plane| {
+            crate::pool::par_chunks_mut_macs(gin_b, d.h * d.w, kdim * np, |ic, plane| {
                 col2im_plane(&gcol[ic * khw * np..(ic + 1) * khw * np], &d, pad, plane);
             });
         }
@@ -387,6 +390,7 @@ impl Backend for SimdBackend {
         let mut col = arena::take_zeroed(kdim * np);
         let mut colt = arena::take_zeroed(np * kdim);
         let img_len = d.cin * d.h * d.w;
+        let image_macs = d.cout * np * kdim;
         for b in 0..d.n {
             im2col(
                 &input.data()[b * img_len..(b + 1) * img_len],
@@ -398,13 +402,13 @@ impl Backend for SimdBackend {
             // runs as an axpy over contiguous rows — a dot over `col`'s
             // rows would serialize on its accumulator instead of
             // vectorizing.
-            crate::pool::par_chunks_mut(&mut colt, kdim, |p, t_row| {
+            crate::pool::par_chunks_mut_macs(&mut colt, kdim, kdim * np, |p, t_row| {
                 for (kidx, t) in t_row.iter_mut().enumerate() {
                     *t = col[kidx * np + p];
                 }
             });
             let g_b = &grad_out.data()[b * d.cout * np..(b + 1) * d.cout * np];
-            crate::pool::par_chunks_mut(grad_w.data_mut(), kdim, |oc, w_row| {
+            crate::pool::par_chunks_mut_macs(grad_w.data_mut(), kdim, image_macs, |oc, w_row| {
                 // grad_w[oc, :] += Σ_p g[oc, p] · colᵀ[p, :]. No skip on
                 // zero g: 0 · inf must surface as NaN, not vanish.
                 let g_row = &g_b[oc * np..(oc + 1) * np];
@@ -472,7 +476,7 @@ impl Backend for SimdBackend {
         // byte per element instead of 4. Zero a-elements are skipped
         // like `gemm_row` (this path only carries inference inputs,
         // never gradients).
-        crate::pool::par_chunks_mut(out.data_mut(), n, |i, c_row| {
+        crate::pool::par_chunks_mut_macs(out.data_mut(), n, m * k * n, |i, c_row| {
             let a_row = &a.data()[i * k..(i + 1) * k];
             for (p, &av) in a_row.iter().enumerate() {
                 if av == 0.0 {

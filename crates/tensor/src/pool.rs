@@ -123,6 +123,14 @@ where
         .collect()
 }
 
+/// Multiply-add count below which [`par_chunks_mut_macs`] runs on the
+/// calling thread. Every pool call spawns fresh scoped threads: 40 µs
+/// for one and 58 µs for two on a 2-vCPU VM. The vectorized kernels do
+/// 2^20 multiply-adds in roughly 0.3–1 ms on one core there, and two
+/// threads finish such a call only 1.3–1.5× sooner, so a smaller call
+/// loses more to the spawn than it gains from the second core.
+pub const MIN_PARALLEL_MACS: usize = 1 << 20;
+
 /// Splits `data` into `data.len() / chunk_len` consecutive tiles and
 /// runs `f(tile_index, tile)` across the pool. Tiles are disjoint and
 /// index-addressed, so the final contents of `data` are independent of
@@ -131,6 +139,30 @@ where
 /// # Panics
 /// Panics if `chunk_len` is zero or does not divide `data.len()`.
 pub fn par_chunks_mut<F>(data: &mut [f32], chunk_len: usize, f: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    chunks_mut_on(data, chunk_len, threads(), f);
+}
+
+/// [`par_chunks_mut`] for a kernel that does `macs` multiply-adds in
+/// total: below [`MIN_PARALLEL_MACS`] the tiles run in index order on
+/// the calling thread — the one-thread path, so results are the same
+/// bits either way.
+pub fn par_chunks_mut_macs<F>(data: &mut [f32], chunk_len: usize, macs: usize, f: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
+    let workers = if macs < MIN_PARALLEL_MACS {
+        1
+    } else {
+        threads()
+    };
+    chunks_mut_on(data, chunk_len, workers, f);
+}
+
+/// The body of [`par_chunks_mut`] with at most `workers` threads.
+fn chunks_mut_on<F>(data: &mut [f32], chunk_len: usize, workers: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
@@ -144,7 +176,7 @@ where
     if obs::enabled() {
         metrics().tasks.inc(n_chunks as u64);
     }
-    let workers = threads().min(n_chunks);
+    let workers = workers.min(n_chunks);
     if workers <= 1 {
         for (i, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(i, chunk);
@@ -415,6 +447,12 @@ mod tests {
             let mut parallel = vec![0.0f32; 60];
             par_chunks_mut(&mut parallel, 5, fill);
             assert_eq!(parallel, serial, "threads={t}");
+            // Both sides of the serial cutoff.
+            for macs in [0, MIN_PARALLEL_MACS] {
+                let mut sized = vec![0.0f32; 60];
+                par_chunks_mut_macs(&mut sized, 5, macs, fill);
+                assert_eq!(sized, serial, "threads={t} macs={macs}");
+            }
         }
         set_threads(None);
     }
