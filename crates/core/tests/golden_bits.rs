@@ -6,6 +6,12 @@
 //! those bits exactly — not approximately — because the checkpoint and
 //! resume contracts from PR 1/2 are defined in terms of byte equality.
 //!
+//! `tiny` trains its time discriminator on the whole series. A second
+//! pair of fixtures (`golden_window8_t*.bits`, recorded with the
+//! per-step LSTM tape before the fused sequence op replaced it) trains
+//! `tiny` with `disc_time_window = 8`, so every step draws a window
+//! offset and the discriminator reads a narrowed slice of the series.
+//!
 //! Re-record (only when the *intended* numerics change, never to paper
 //! over a regression) with:
 //!
@@ -23,10 +29,10 @@ static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 const STEPS: usize = 5;
 
-fn fixture_path(threads: usize) -> std::path::PathBuf {
+fn fixture_path(name: &str, threads: usize) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
-        .join(format!("golden_pr3_t{threads}.bits"))
+        .join(format!("{name}_t{threads}.bits"))
 }
 
 fn tiny_city(seed: u64) -> City {
@@ -46,11 +52,11 @@ fn tiny_city(seed: u64) -> City {
     )
 }
 
-/// Trains the tiny model for [`STEPS`] steps and returns every weight
-/// as its raw bit pattern, in deterministic store order.
-fn trained_bits() -> Vec<u32> {
+/// Trains `cfg` for [`STEPS`] steps and returns every weight as its
+/// raw bit pattern, in deterministic store order.
+fn trained_bits(cfg: SpectraGanConfig) -> Vec<u32> {
     let cities = [tiny_city(3), tiny_city(8)];
-    let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
+    let mut model = SpectraGan::new(cfg, 0);
     let tc = TrainConfig {
         steps: STEPS,
         batch_patches: 2,
@@ -80,16 +86,16 @@ fn text_to_bits(text: &str) -> Vec<u32> {
         .collect()
 }
 
-fn check_or_record(threads: usize) {
+fn check_or_record(name: &str, cfg: SpectraGanConfig, threads: usize) {
     // The fixtures were recorded against the reference kernels; pin the
     // Scalar backend explicitly so this byte-equality contract holds
     // even when the suite runs under `SPECTRAGAN_BACKEND=simd`.
     set_backend(Some(BackendKind::Scalar));
     pool::set_threads(Some(threads));
-    let bits = trained_bits();
+    let bits = trained_bits(cfg);
     pool::set_threads(None);
     set_backend(None);
-    let path = fixture_path(threads);
+    let path = fixture_path(name, threads);
     if std::env::var("GOLDEN_RECORD").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, bits_to_text(&bits)).unwrap();
@@ -103,12 +109,12 @@ fn check_or_record(threads: usize) {
     assert_eq!(
         fixture.len(),
         bits.len(),
-        "weight count changed vs fixture at {threads} threads"
+        "{name}: weight count changed vs fixture at {threads} threads"
     );
     let diverged: Vec<usize> = (0..bits.len()).filter(|&i| bits[i] != fixture[i]).collect();
     assert!(
         diverged.is_empty(),
-        "{} of {} weights diverge from the pre-refactor engine at {threads} threads \
+        "{name}: {} of {} weights diverge from the recorded engine at {threads} threads \
          (first at index {}: {:08x} vs {:08x})",
         diverged.len(),
         bits.len(),
@@ -118,14 +124,34 @@ fn check_or_record(threads: usize) {
     );
 }
 
+/// `tiny` with an 8-step time-discriminator window.
+fn windowed() -> SpectraGanConfig {
+    SpectraGanConfig {
+        disc_time_window: 8,
+        ..SpectraGanConfig::tiny()
+    }
+}
+
 #[test]
 fn golden_bits_one_thread() {
-    let _g = POOL_LOCK.lock().unwrap();
-    check_or_record(1);
+    let _g = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    check_or_record("golden_pr3", SpectraGanConfig::tiny(), 1);
 }
 
 #[test]
 fn golden_bits_four_threads() {
-    let _g = POOL_LOCK.lock().unwrap();
-    check_or_record(4);
+    let _g = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    check_or_record("golden_pr3", SpectraGanConfig::tiny(), 4);
+}
+
+#[test]
+fn golden_window_bits_one_thread() {
+    let _g = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    check_or_record("golden_window8", windowed(), 1);
+}
+
+#[test]
+fn golden_window_bits_four_threads() {
+    let _g = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    check_or_record("golden_window8", windowed(), 4);
 }
