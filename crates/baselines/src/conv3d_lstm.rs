@@ -160,15 +160,8 @@ impl Conv3dLstmLite {
     }
 
     fn disc_logits(&self, bind: &Binding<'_>, series: &Var, ctx_rows: &Var) -> Var {
-        let t = series.shape().dim(1);
-        let n = series.shape().dim(0);
-        let mut state = self.d_lstm.zero_state(bind, n);
-        for step in 0..t {
-            let x_t = series.narrow(1, step, 1);
-            let inp = Var::concat(&[x_t, ctx_rows.clone()], 1);
-            state = self.d_lstm.step(bind, &inp, &state);
-        }
-        self.d_head.forward(bind, &state.h)
+        let h = self.d_lstm.last_hidden(bind, series, ctx_rows);
+        self.d_head.forward(bind, &h)
     }
 
     /// Adversarial training with an L1 term (the usual conditional-GAN

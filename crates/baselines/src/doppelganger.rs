@@ -132,28 +132,14 @@ impl DoppelGangerLite {
     fn gen_forward(&self, bind: &Binding<'_>, cond: &Var, t: usize) -> Var {
         let feat = self.g_embed.forward_act(bind, cond, Activation::LeakyRelu);
         let xw = self.g_lstm.precompute_input(bind, &feat);
-        let n = feat.shape().dim(0);
-        let mut state = self.g_lstm.zero_state(bind, n);
-        let mut outs = Vec::with_capacity(t);
-        for _ in 0..t {
-            state = self.g_lstm.step_projected(bind, &xw, &state);
-            outs.push(self.g_head.forward(bind, &state.h));
-        }
-        Var::concat(&outs, 1)
+        self.g_lstm.rollout(bind, &xw, &self.g_head, t)
     }
 
     /// Discriminator logits for series rows under per-pixel context.
     fn disc_logits(&self, bind: &Binding<'_>, series: &Var, ctx: &Var) -> Var {
         let emb = self.d_embed.forward_act(bind, ctx, Activation::LeakyRelu);
-        let t = series.shape().dim(1);
-        let n = series.shape().dim(0);
-        let mut state = self.d_lstm.zero_state(bind, n);
-        for step in 0..t {
-            let x_t = series.narrow(1, step, 1);
-            let inp = Var::concat(&[x_t, emb.clone()], 1);
-            state = self.d_lstm.step(bind, &inp, &state);
-        }
-        self.d_head.forward(bind, &state.h)
+        let h = self.d_lstm.last_hidden(bind, series, &emb);
+        self.d_head.forward(bind, &h)
     }
 
     /// Adversarial training on pixel batches. `tc.batch` is interpreted

@@ -117,15 +117,8 @@ impl Generator {
             (&self.time_feat, &self.time_lstm, &self.time_head)
         {
             let rows = Self::to_rows(&feat.forward(bind, &hz).leaky_relu(0.2));
-            let n_px = rows.shape().dim(0);
             let xw = lstm.precompute_input(bind, &rows);
-            let mut state = lstm.zero_state(bind, n_px);
-            let mut outs = Vec::with_capacity(t);
-            for _ in 0..t {
-                state = lstm.step_projected(bind, &xw, &state);
-                outs.push(head.forward(bind, &state.h));
-            }
-            let mut xt = Var::concat(&outs, 1);
+            let mut xt = lstm.rollout(bind, &xw, head, t);
             if let Some(amp) = &self.amp_head {
                 let a = amp.forward(bind, &rows);
                 let ones_row = Tensor::ones([1, t]);
@@ -300,15 +293,8 @@ impl Discriminators {
     /// `R^t`: logits `[N_px, 1]` for traffic series rows `[N_px, T]`
     /// under their context, via an LSTM over time.
     pub fn time_logits(&self, bind: &Binding<'_>, series_rows: &Var, ctx_rows: &Var) -> Var {
-        let t = series_rows.shape().dim(1);
-        let n_px = series_rows.shape().dim(0);
-        let mut state = self.time_lstm.zero_state(bind, n_px);
-        for step in 0..t {
-            let x_t = series_rows.narrow(1, step, 1);
-            let inp = Var::concat(&[x_t, ctx_rows.clone()], 1);
-            state = self.time_lstm.step(bind, &inp, &state);
-        }
-        self.time_head.forward(bind, &state.h)
+        let h = self.time_lstm.last_hidden(bind, series_rows, ctx_rows);
+        self.time_head.forward(bind, &h)
     }
 }
 

@@ -19,7 +19,7 @@ use crate::init;
 use crate::layers::Linear;
 use crate::param::{Binding, ParamId, ParamStore};
 use rand::Rng;
-use spectragan_tensor::{backend, pool, Tensor, Var};
+use spectragan_tensor::{lstm_seq, Tensor, Var};
 
 /// Hidden and cell state of an LSTM, each `[N, hidden]`.
 #[derive(Clone)]
@@ -195,26 +195,64 @@ impl Lstm {
         )
     }
 
+    /// Runs `steps` steps from the zero state on the time-constant
+    /// input projection `xw: [N, 4·hidden]` (see
+    /// [`Lstm::precompute_input`]), reading each step's hidden state
+    /// through the one-output `head`: returns the series `[N, steps]`
+    /// as one tape node ([`Var::lstm_rollout`]). Under the scalar
+    /// backend its value and gradients are bit-identical to the step
+    /// loop of [`Lstm::step_projected`] and [`Linear::forward`] joined
+    /// by [`Var::concat`].
+    ///
+    /// # Panics
+    /// Panics unless `xw` is `[N, 4·hidden]`, `head` maps `hidden`
+    /// features to one output and `steps > 0`.
+    pub fn rollout(&self, bind: &Binding<'_>, xw: &Var, head: &Linear, steps: usize) -> Var {
+        xw.lstm_rollout(
+            &bind.var(self.wh),
+            &bind.var(self.b),
+            &bind.var(head.w),
+            &bind.var(head.b),
+            steps,
+        )
+    }
+
+    /// Runs the LSTM from the zero state over the columns of `series:
+    /// [N, T]`, feeding step `t` the input `[series[:, t], ctx]` (so
+    /// `input_size` is `1 + C` for `ctx: [N, C]`), and returns the last
+    /// hidden state `[N, hidden]` as one tape node
+    /// ([`Var::lstm_last_hidden`]). Under the scalar backend its value
+    /// and gradients are bit-identical to the step loop of
+    /// [`Lstm::step`] over `Var::concat(&[series.narrow(1, t, 1),
+    /// ctx], 1)`.
+    ///
+    /// # Panics
+    /// Panics on mismatched shapes or an empty series.
+    pub fn last_hidden(&self, bind: &Binding<'_>, series: &Var, ctx: &Var) -> Var {
+        series.lstm_last_hidden(
+            ctx,
+            &bind.var(self.wx),
+            &bind.var(self.wh),
+            &bind.var(self.b),
+        )
+    }
+
     /// Tape-free rollout of `t_out` steps from the zero state, each
     /// step's hidden state projected through the one-output `head`:
     /// returns `[N, t_out]`, row `r` holding row `r`'s series, given
     /// the precomputed input projection `xw: [N, 4·hidden]` (a
     /// time-constant input, see [`Lstm::precompute_input`]).
     ///
-    /// Rows are independent recurrences, so each row runs all of its
-    /// steps with `h`, `c` and the gates in scratch of its own, and
-    /// rows are spread over [`pool::par_chunks_mut`]. The arithmetic is
-    /// the step loop's ([`Lstm::step_infer_projected`] followed by
-    /// [`Linear::forward_infer`]) in the same order: the gate and head
-    /// mat-vecs accumulate in the scalar matmul's order (ascending `p`,
-    /// zero `h` entries skipped), gates are `(xw + h·Wh) + b`, and the
-    /// activations go through the active backend's
-    /// `sigmoid_slice`/`tanh_slice`. Under the scalar backend the
-    /// result is therefore bit-identical to the step loop, at any
-    /// thread count; under any backend it is bit-identical across
-    /// thread counts. Reduced-precision weights are widened once per
-    /// call ([`ParamStore::weight`]), which reproduces the scalar
-    /// dequantizing matmul's `av · (q · s)` exactly.
+    /// This is the forward kernel of [`Lstm::rollout`] without a tape
+    /// ([`spectragan_tensor::lstm_seq::rollout`]): each row runs all of
+    /// its steps in scratch of its own, and rows are spread over the
+    /// pool. Under the scalar backend the result is bit-identical to
+    /// the step loop of [`Lstm::step_infer_projected`] and
+    /// [`Linear::forward_infer`], at any thread count; under any
+    /// backend it is bit-identical across thread counts and to the
+    /// taped rollout's value. Reduced-precision weights are widened
+    /// once per call ([`ParamStore::weight`]), which reproduces the
+    /// scalar dequantizing matmul's `av · (q · s)` exactly.
     ///
     /// # Panics
     /// Panics unless `xw` is `[N, 4·hidden]` and `head` maps `hidden`
@@ -226,73 +264,27 @@ impl Lstm {
         head: &Linear,
         t_out: usize,
     ) -> Tensor {
-        let hs = self.hidden_size;
-        let g4 = 4 * hs;
+        let g4 = 4 * self.hidden_size;
         assert!(
             xw.shape().ndim() == 2 && xw.shape().dim(1) == g4,
             "rollout_infer: input projection {} is not [N, {g4}]",
             xw.shape()
         );
         assert!(
-            head.in_features() == hs && head.out_features() == 1,
-            "rollout_infer: head maps {} → {}, expected {hs} → 1",
+            head.in_features() == self.hidden_size && head.out_features() == 1,
+            "rollout_infer: head maps {} → {}, expected {} → 1",
             head.in_features(),
-            head.out_features()
+            head.out_features(),
+            self.hidden_size
         );
-        let n = xw.shape().dim(0);
-        let mut out = Tensor::zeros([n, t_out]);
-        if out.numel() == 0 {
-            return out;
-        }
-        let wh = store.weight(self.wh);
-        let b = store.weight(self.b);
-        let head_w = store.weight(head.w);
-        let head_b = store.weight(head.b).data()[0];
-        let (wh, b, head_w) = (wh.data(), b.data(), head_w.data());
-        let act = backend::active();
-        pool::par_chunks_mut(out.data_mut(), t_out, |row, series| {
-            let xw_row = &xw.data()[row * g4..(row + 1) * g4];
-            let mut scratch = vec![0.0f32; g4 + 3 * hs];
-            let (gates, state) = scratch.split_at_mut(g4);
-            let (h, state) = state.split_at_mut(hs);
-            let (c, tanh_c) = state.split_at_mut(hs);
-            for y in series {
-                gates.fill(0.0);
-                for (p, &hv) in h.iter().enumerate() {
-                    if hv == 0.0 {
-                        continue;
-                    }
-                    for (g, &w) in gates.iter_mut().zip(&wh[p * g4..(p + 1) * g4]) {
-                        *g += hv * w;
-                    }
-                }
-                for ((g, &x), &bv) in gates.iter_mut().zip(xw_row).zip(b) {
-                    *g = (x + *g) + bv;
-                }
-                act.sigmoid_slice(&mut gates[..2 * hs]);
-                act.tanh_slice(&mut gates[2 * hs..3 * hs]);
-                act.sigmoid_slice(&mut gates[3 * hs..]);
-                let (i, rest) = gates.split_at(hs);
-                let (f, rest) = rest.split_at(hs);
-                let (g, o) = rest.split_at(hs);
-                for ((cv, &fv), (&iv, &gv)) in c.iter_mut().zip(f).zip(i.iter().zip(g)) {
-                    *cv = fv * *cv + iv * gv;
-                }
-                tanh_c.copy_from_slice(c);
-                act.tanh_slice(tanh_c);
-                for ((hv, &ov), &tv) in h.iter_mut().zip(o).zip(&*tanh_c) {
-                    *hv = ov * tv;
-                }
-                let mut acc = 0.0f32;
-                for (&hv, &w) in h.iter().zip(head_w) {
-                    if hv != 0.0 {
-                        acc += hv * w;
-                    }
-                }
-                *y = acc + head_b;
-            }
-        });
-        out
+        lstm_seq::rollout(
+            xw,
+            &store.weight(self.wh),
+            &store.weight(self.b),
+            &store.weight(head.w),
+            store.weight(head.b).data()[0],
+            t_out,
+        )
     }
 
     /// Runs the LSTM over a sequence of inputs, returning the hidden

@@ -22,7 +22,11 @@
 //! for positive slopes and the smooth activations' derivatives are
 //! functions of the output. Fused and unfused compositions are
 //! therefore bit-equal in both directions (asserted by tests).
+//!
+//! [`Op::LstmSeq`] is a whole LSTM recurrence as one node; its kernels
+//! and the order its backward keeps live in [`crate::lstm_seq`].
 
+use crate::lstm_seq::SeqInput;
 use crate::stats::OpKind;
 use crate::tensor::Tensor;
 use std::rc::Rc;
@@ -123,6 +127,16 @@ pub enum Op {
         b: usize,
         pad: usize,
     },
+    /// A whole LSTM sequence from the zero state (see
+    /// [`crate::lstm_seq`]): `input` feeds a cell with recurrent weight
+    /// `wh` and bias `b`; `saved` holds every row-step's activated
+    /// gates, cell state, `tanh(c)` and hidden state.
+    LstmSeq {
+        input: SeqInput,
+        wh: usize,
+        b: usize,
+        saved: Rc<Tensor>,
+    },
 }
 
 impl Op {
@@ -163,6 +177,7 @@ impl Op {
             Op::BceWithLogits { .. } => OpKind::BceWithLogits,
             Op::MatmulBiasAct { .. } => OpKind::MatmulBiasAct,
             Op::Conv2dBias { .. } => OpKind::Conv2dBias,
+            Op::LstmSeq { .. } => OpKind::LstmSeq,
         }
     }
 }
@@ -506,5 +521,11 @@ pub(crate) fn backward_node(
             );
             acc(grads, *b, channel_bias_grad(g));
         }
+        Op::LstmSeq {
+            input,
+            wh,
+            b,
+            saved,
+        } => crate::lstm_seq::backward(input, *wh, *b, saved, values, g, grads),
     }
 }
