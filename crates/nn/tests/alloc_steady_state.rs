@@ -4,14 +4,16 @@
 //! Every training step builds the same graph with the same shapes, so
 //! once the pool holds one step's worth of buffers (plus the optimizer
 //! moments), subsequent steps should hit the pool on every tensor —
-//! zero fresh heap allocations per step. A regression here (an op
+//! zero fresh heap allocations per step. The graph includes one fused
+//! LSTM sequence of each feed, whose saved records, gate gradients and
+//! per-step weight gradients come from the same pool. A regression here (an op
 //! building temporaries with `Vec::with_capacity` instead of the arena,
 //! or a tape that drops buffers instead of recycling them) shows up as
 //! a nonzero `fresh_allocs` count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spectragan_nn::{Activation, Adam, Binding, Conv2d, Mlp, ParamStore};
+use spectragan_nn::{Activation, Adam, Binding, Conv2d, Linear, Lstm, Mlp, ParamStore};
 use spectragan_tensor::{arena, Tape, Tensor};
 
 #[test]
@@ -26,6 +28,9 @@ fn steady_state_training_steps_allocate_nothing_fresh() {
         Activation::Identity,
         &mut rng,
     );
+    let gen_lstm = Lstm::new(&mut store, 3, 4, &mut rng);
+    let gen_head = Linear::new(&mut store, 4, 1, &mut rng);
+    let disc_lstm = Lstm::new(&mut store, 1 + 2, 4, &mut rng);
     let mut opt = Adam::new(1e-3);
 
     // Hoisted tape, as the real training loops use it.
@@ -36,7 +41,16 @@ fn steady_state_training_steps_allocate_nothing_fresh() {
         let x = tape.leaf(Tensor::randn([2, 2, 8, 8], rng));
         let h = conv.forward(&bind, &x).leaky_relu(0.2);
         let rows = h.reshape([2, 4 * 8 * 8]);
-        let loss = mlp.forward(&bind, &rows).square().mean();
+        let feats = tape.leaf(Tensor::randn([6, 3], rng));
+        let xw = gen_lstm.precompute_input(&bind, &feats);
+        let series = gen_lstm.rollout(&bind, &xw, &gen_head, 10);
+        let ctx = tape.leaf(Tensor::randn([6, 2], rng));
+        let h = disc_lstm.last_hidden(&bind, &series.narrow(1, 2, 5), &ctx);
+        let loss = mlp
+            .forward(&bind, &rows)
+            .square()
+            .mean()
+            .add(&h.square().mean());
         let grads = tape.backward(&loss);
         let bound = bind.bound();
         opt.step(store, &bound, &grads);
