@@ -1,6 +1,6 @@
 //! Criterion microbenches for the neural substrate: conv2d
-//! forward/backward at model shapes, LSTM steps, and a full
-//! SpectraGAN training step.
+//! forward/backward at model shapes, an LSTM step and a fused LSTM
+//! sequence, and a full SpectraGAN training step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -40,17 +40,17 @@ fn bench_lstm(c: &mut Criterion) {
         let (h, cst) = lstm.zero_state_infer(192);
         b.iter(|| lstm.step_infer(&store, black_box(&x), &h, &cst))
     });
+    // The time discriminator's shape: a 48-step series window plus a
+    // 23-wide context at every step, as one fused sequence node.
+    let series = Tensor::randn([192, 48], &mut rng);
+    let ctx = Tensor::randn([192, 23], &mut rng);
     c.bench_function("lstm_48steps_fwd_bwd_192rows", |b| {
         b.iter(|| {
             let tape = Tape::new();
             let bind = Binding::new(&tape, &store);
-            let xv = tape.leaf(x.clone());
-            let xw = lstm.precompute_input(&bind, &xv);
-            let mut state = lstm.zero_state(&bind, 192);
-            for _ in 0..48 {
-                state = lstm.step_projected(&bind, &xw, &state);
-            }
-            let loss = state.h.mean();
+            let sv = tape.leaf(series.clone());
+            let cv = tape.leaf(ctx.clone());
+            let loss = lstm.last_hidden(&bind, &sv, &cv).mean();
             tape.backward(&loss)
         })
     });
