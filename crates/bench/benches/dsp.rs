@@ -1,10 +1,14 @@
 //! Criterion microbenches for the DSP substrate: FFT across the sizes
 //! the pipeline actually uses (168 = one hourly week, 672 = 15-min
 //! week, powers of two for the radix-2 path), real FFT round-trips,
-//! masking and k-multiple expansion.
+//! masking, k-multiple expansion, and the masked-spectrum training
+//! target of one patch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use spectragan_core::fourier::masked_spec_rows;
+use spectragan_core::SpectraGanConfig;
 use spectragan_dsp::{expand_spectrum, fft, irfft, mask_quantile, rfft, Complex};
+use spectragan_tensor::Tensor;
 use std::hint::black_box;
 
 fn signal(n: usize) -> Vec<f64> {
@@ -52,10 +56,27 @@ fn bench_mask_and_expand(c: &mut Criterion) {
     });
 }
 
+/// One `default_hourly` training patch (8×8 pixels of one hourly
+/// week), each pixel a scaled copy of the test signal: the unit of work
+/// sample preparation repeats for every patch of every training city.
+fn bench_masked_spec_rows(c: &mut Criterion) {
+    let cfg = SpectraGanConfig::default_hourly();
+    let (t, side) = (cfg.train_len, cfg.patch_traffic);
+    let x = signal(t);
+    let data = (0..t * side * side)
+        .map(|i| (x[i / (side * side)] * (1.0 + (i % (side * side)) as f64 / 64.0)) as f32)
+        .collect();
+    let patch = Tensor::from_vec(data, [t, side, side]);
+    c.bench_function("masked_spec_rows_8x8_168", |b| {
+        b.iter(|| masked_spec_rows(black_box(&patch), cfg.q))
+    });
+}
+
 criterion_group!(
     benches,
     bench_fft,
     bench_rfft_roundtrip,
-    bench_mask_and_expand
+    bench_mask_and_expand,
+    bench_masked_spec_rows
 );
 criterion_main!(benches);

@@ -292,6 +292,9 @@ fn micro_benches() -> Vec<MicroRow> {
 }
 
 fn train_gate() -> TrainGate {
+    // Start from an empty pool so `pooled_mib` counts only this run's
+    // buffers, not those parked by a generation sweep run before it.
+    arena::clear();
     let ds = DatasetConfig {
         weeks: 1,
         steps_per_hour: 1,

@@ -26,6 +26,21 @@ pub enum CoreError {
         /// Steps the configuration requires.
         need: usize,
     },
+    /// A training city's traffic holds a NaN or infinite value within
+    /// the training window, where its spectrum and every loss on it
+    /// would be undefined.
+    NonFiniteTraffic {
+        /// City name.
+        city: String,
+        /// Time step of the first such value (time-major order).
+        t: usize,
+        /// Its grid row.
+        y: usize,
+        /// Its grid column.
+        x: usize,
+        /// The value itself.
+        value: f32,
+    },
     /// A generation request is malformed: zero-length output, zero
     /// batch size, or a context map that does not fit the model. These
     /// are caller errors (a serving front-end maps them to HTTP 4xx),
@@ -74,6 +89,17 @@ impl fmt::Display for CoreError {
                     "city '{city}' has {have} steps, the configuration needs at least {need}"
                 )
             }
+            CoreError::NonFiniteTraffic {
+                city,
+                t,
+                y,
+                x,
+                value,
+            } => write!(
+                f,
+                "city '{city}' has a non-finite traffic value ({value}) at step {t}, row {y}, \
+                 column {x}"
+            ),
             CoreError::InvalidRequest(why) => write!(f, "invalid generation request: {why}"),
             CoreError::Model(why) => write!(f, "model error: {why}"),
             CoreError::Checkpoint(why) => write!(f, "checkpoint error: {why}"),

@@ -8,7 +8,8 @@
 //! which keeps the whole generator differentiable with no bespoke
 //! autodiff op (§2.2.2 notes IFFT differentiability as the requirement).
 
-use spectragan_dsp::{mask_quantile, rfft, Complex};
+use spectragan_dsp::spectrum::quantile_in_place;
+use spectragan_dsp::{Complex, FftPlan};
 use spectragan_obs as obs;
 use spectragan_tensor::Tensor;
 use std::collections::HashMap;
@@ -75,7 +76,7 @@ pub fn patch_to_rows(patch: &Tensor) -> Tensor {
         patch.shape().dim(1),
         patch.shape().dim(2),
     );
-    patch.permute(&[1, 2, 0]).reshape([h * w, t])
+    Tensor::from_vec(patch.permute(&[1, 2, 0]).into_vec(), [h * w, t])
 }
 
 /// Inverse of [`patch_to_rows`].
@@ -93,20 +94,47 @@ pub fn rows_to_patch(rows: &Tensor, h: usize, w: usize) -> Tensor {
 pub fn masked_spec_rows(patch: &Tensor, q: f64) -> Tensor {
     let rows = patch_to_rows(patch);
     let (n_px, t) = (rows.shape().dim(0), rows.shape().dim(1));
-    let f = t / 2 + 1;
-    let mut out = Tensor::zeros([n_px, 2 * f]);
-    for px in 0..n_px {
-        let series: Vec<f64> = rows.data()[px * t..(px + 1) * t]
-            .iter()
-            .map(|&v| v as f64)
-            .collect();
-        let spec = rfft(&series);
-        let (masked, _) = mask_quantile(&spec, q);
-        let scaled: Vec<Complex> = masked.iter().map(|z| z.scale(1.0 / t as f64)).collect();
-        let row = complex_to_row(&scaled);
-        out.data_mut()[px * 2 * f..(px + 1) * 2 * f].copy_from_slice(&row);
-    }
+    let mut out = Tensor::zeros([n_px, 2 * (t / 2 + 1)]);
+    write_masked_spec_rows(rows.data(), t, q, out.data_mut());
     out
+}
+
+/// Writes [`masked_spec_rows`]' target for pixel-major series rows
+/// (`[N, t]`, flat) into `out` (`[N, 2F]`, flat), with one FFT plan for
+/// all rows and no per-row allocation.
+///
+/// Bit for bit, each row is `rfft`, then `mask_quantile`, then a
+/// `1/t` scale, then `complex_to_row` of that series.
+pub(crate) fn write_masked_spec_rows(series: &[f32], t: usize, q: f64, out: &mut [f32]) {
+    let f = t / 2 + 1;
+    assert_eq!(
+        series.len() / t * 2 * f,
+        out.len(),
+        "spectrum rows do not match the series rows"
+    );
+    let mut plan = FftPlan::forward(t);
+    let mut buf = vec![Complex::ZERO; t];
+    let mut mags = vec![0.0f64; f];
+    let mut sorted = vec![0.0f64; f];
+    let scale = 1.0 / t as f64;
+    for (x, row) in series.chunks_exact(t).zip(out.chunks_exact_mut(2 * f)) {
+        for (z, &v) in buf.iter_mut().zip(x) {
+            *z = Complex::real(v as f64);
+        }
+        plan.process(&mut buf);
+        for (m, z) in mags.iter_mut().zip(&buf) {
+            *m = z.abs();
+        }
+        sorted.copy_from_slice(&mags);
+        let thr = quantile_in_place(&mut sorted, q);
+        let (re, im) = row.split_at_mut(f);
+        for k in 0..f {
+            let kept = if mags[k] > thr { buf[k] } else { Complex::ZERO };
+            let z = kept.scale(scale);
+            re[k] = z.re as f32;
+            im[k] = z.im as f32;
+        }
+    }
 }
 
 /// One cached expanded basis plus its LRU bookkeeping.
@@ -302,6 +330,10 @@ pub fn expand_rows_to_steps(rows: &Tensor, t: usize, t_out: usize) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use spectragan_dsp::{mask_quantile, rfft};
 
     fn demo_series(t: usize) -> Vec<f64> {
         (0..t)
@@ -367,6 +399,65 @@ mod tests {
             let row = &rows.data()[px * 50..(px + 1) * 50];
             let nonzero = row.iter().filter(|v| v.abs() > 1e-9).count();
             assert!(nonzero > 0 && nonzero < 30, "px {px}: {nonzero} nonzero");
+        }
+    }
+
+    /// The per-pixel path `masked_spec_rows` replaced: one `rfft`,
+    /// `mask_quantile`, `1/T` scale and `complex_to_row` per series.
+    fn masked_spec_rows_per_pixel(patch: &Tensor, q: f64) -> Tensor {
+        let rows = patch_to_rows(patch);
+        let (n_px, t) = (rows.shape().dim(0), rows.shape().dim(1));
+        let f = t / 2 + 1;
+        let mut out = Tensor::zeros([n_px, 2 * f]);
+        for px in 0..n_px {
+            let series: Vec<f64> = rows.data()[px * t..(px + 1) * t]
+                .iter()
+                .map(|&v| v as f64)
+                .collect();
+            let spec = rfft(&series);
+            let (masked, _) = mask_quantile(&spec, q);
+            let scaled: Vec<Complex> = masked.iter().map(|z| z.scale(1.0 / t as f64)).collect();
+            let row = complex_to_row(&scaled);
+            out.data_mut()[px * 2 * f..(px + 1) * 2 * f].copy_from_slice(&row);
+        }
+        out
+    }
+
+    /// A `[t, h, w]` patch of one kind: 0 traffic-like positive values,
+    /// 1 one constant per pixel, 2 all zeros (both of which tie
+    /// magnitudes at the threshold), 3 a few levels with signed zeros.
+    fn patch_of_kind(t: usize, h: usize, w: usize, kind: u8, seed: u64) -> Tensor {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let levels: Vec<f32> = (0..h * w).map(|_| rng.gen_range(0.0f32..1.0)).collect();
+        let data = (0..t * h * w)
+            .map(|i| match kind {
+                0 => rng.gen_range(0.0f32..1.0).powi(3),
+                1 => levels[i % (h * w)],
+                2 => 0.0,
+                _ => [0.0, -0.0, 0.25, 1.0][rng.gen_range(0usize..4)],
+            })
+            .collect();
+        Tensor::from_vec(data, [t, h, w])
+    }
+
+    proptest! {
+        /// `masked_spec_rows` writes exactly the per-pixel path's bits.
+        #[test]
+        fn masked_rows_match_the_per_pixel_path(
+            t in 2usize..340,
+            (h, w) in (1usize..5, 1usize..5),
+            kind in 0u8..4,
+            q in 0.0f64..1.0,
+            seed in 0u64..u64::MAX,
+        ) {
+            let t = if seed % 3 == 0 { 168 } else { t };
+            let patch = patch_of_kind(t, h, w, kind, seed);
+            let fast = masked_spec_rows(&patch, q);
+            let slow = masked_spec_rows_per_pixel(&patch, q);
+            prop_assert_eq!(fast.shape(), slow.shape());
+            for (i, (a, b)) in fast.data().iter().zip(slow.data()).enumerate() {
+                prop_assert!(a.to_bits() == b.to_bits(), "element {}: {} vs {}", i, a, b);
+            }
         }
     }
 

@@ -35,19 +35,19 @@
 use crate::checkpoint::{self, Checkpoint, LogRecord};
 use crate::config::{SpectraGanConfig, TrainConfig, Variant};
 use crate::error::CoreError;
-use crate::fourier::{masked_spec_rows, patch_to_rows};
+use crate::fourier::{patch_to_rows, write_masked_spec_rows};
 use crate::model::{Discriminators, Generator};
 use crate::shard::{GradReducer, LocalReducer, Phase, StepGrads};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spectragan_geo::io::atomic_write;
-use spectragan_geo::{City, PatchLayout, PatchSpec};
+use spectragan_geo::{City, ContextMap, PatchLayout, PatchSpec};
 use spectragan_nn::{collect_updates, Adam, Binding, ParamId, ParamStore, Tape, Tensor};
 use spectragan_obs as obs;
-use spectragan_tensor::stats;
+use spectragan_tensor::{pool, stats};
 use std::path::Path;
 use std::rc::Rc;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 fn guard_retries_counter() -> &'static obs::Counter {
@@ -345,44 +345,53 @@ impl SpectraGan {
     /// Extracts training samples from the cities: every training patch
     /// of every city, with its series rows and masked-spectrum target.
     /// Fails with a typed error when the city list is empty, a series
-    /// is too short, or no grid yields a single patch.
+    /// is too short or holds a NaN or infinite value within the
+    /// training window, or no grid yields a single patch.
+    ///
+    /// The cities are validated serially, in list order, so the error
+    /// names the first bad city at any thread count. Then one
+    /// index-addressed task per (city, patch position) runs on the
+    /// pool. Each task fills only its own sample, whose tensors the
+    /// calling thread allocated: the samples belong to the caller's
+    /// buffer pool, and a worker's temporaries stay in the worker's.
     fn prepare(&self, cities: &[City]) -> Result<Vec<Sample>, CoreError> {
         let cfg = &self.cfg;
         if cities.is_empty() {
             return Err(CoreError::NoTrainingData("the city list is empty".into()));
         }
-        let spec_needed = cfg.variant.has_spectrum();
-        let mut samples = Vec::new();
+        let t = cfg.train_len;
         for city in cities {
-            if city.traffic.len_t() < cfg.train_len {
+            if city.traffic.len_t() < t {
                 return Err(CoreError::SeriesTooShort {
                     city: city.name.clone(),
                     have: city.traffic.len_t(),
-                    need: cfg.train_len,
+                    need: t,
                 });
             }
-            let ctx = city.context.standardized();
-            let layout = PatchLayout::new(
-                city.grid(),
-                PatchSpec::new(cfg.patch_traffic, cfg.patch_context(), cfg.patch_traffic),
-            );
-            for &pos in layout.positions() {
-                let ctx_patch = layout.extract_context(&ctx, pos);
-                let traffic = layout.extract_traffic(&city.traffic, pos, 0, cfg.train_len);
-                let series = patch_to_rows(&traffic);
-                let spec = if spec_needed {
-                    masked_spec_rows(&traffic, cfg.q)
-                } else {
-                    Tensor::zeros([0])
-                };
-                samples.push(Sample {
-                    ctx: ctx_patch,
-                    series,
-                    spec,
+            let (h, w) = (city.traffic.height(), city.traffic.width());
+            let window = &city.traffic.data()[..t * h * w];
+            if let Some(i) = window.iter().position(|v| !v.is_finite()) {
+                return Err(CoreError::NonFiniteTraffic {
+                    city: city.name.clone(),
+                    t: i / (h * w),
+                    y: i / w % h,
+                    x: i % w,
+                    value: window[i],
                 });
             }
         }
-        if samples.is_empty() {
+        let patch = PatchSpec::new(cfg.patch_traffic, cfg.patch_context(), cfg.patch_traffic);
+        let contexts: Vec<ContextMap> = cities.iter().map(|c| c.context.standardized()).collect();
+        let layouts: Vec<PatchLayout> = cities
+            .iter()
+            .map(|c| PatchLayout::new(c.grid(), patch))
+            .collect();
+        let tasks: Vec<(usize, (usize, usize))> = layouts
+            .iter()
+            .enumerate()
+            .flat_map(|(c, layout)| layout.positions().iter().map(move |&pos| (c, pos)))
+            .collect();
+        if tasks.is_empty() {
             return Err(CoreError::NoTrainingData(format!(
                 "no training patches extracted from {} cities (grids smaller than the {}-pixel \
                  context window?)",
@@ -390,6 +399,35 @@ impl SpectraGan {
                 cfg.patch_context()
             )));
         }
+        let spec_needed = cfg.variant.has_spectrum();
+        let px = cfg.patch_traffic * cfg.patch_traffic;
+        let side = cfg.patch_context();
+        let mut samples: Vec<Sample> = tasks
+            .iter()
+            .map(|&(c, _)| Sample {
+                ctx: Tensor::zeros([contexts[c].channels(), side, side]),
+                series: Tensor::zeros([px, t]),
+                spec: if spec_needed {
+                    Tensor::zeros([px, 2 * (t / 2 + 1)])
+                } else {
+                    Tensor::zeros([0])
+                },
+            })
+            .collect();
+        let slots: Vec<Mutex<&mut Sample>> = samples.iter_mut().map(Mutex::new).collect();
+        pool::par_map(tasks.len(), |i| {
+            let (c, pos) = tasks[i];
+            let mut sample = slots[i].lock().expect("only task i locks slot i");
+            let layout = &layouts[c];
+            let ctx = layout.extract_context(&contexts[c], pos);
+            sample.ctx.data_mut().copy_from_slice(ctx.data());
+            let rows = patch_to_rows(&layout.extract_traffic(&cities[c].traffic, pos, 0, t));
+            if spec_needed {
+                write_masked_spec_rows(rows.data(), t, cfg.q, sample.spec.data_mut());
+            }
+            sample.series.data_mut().copy_from_slice(rows.data());
+        });
+        drop(slots);
         Ok(samples)
     }
 
@@ -450,7 +488,11 @@ impl SpectraGan {
                 "gradient accumulation must run at least 1 micro-round".into(),
             ));
         }
+        let obs_on = opts.obs_on();
+        let _obs_guard = obs::ObsGuard::new(obs_on);
+        let sp = obs::span_cat("prepare", "train");
         let samples = self.prepare(cities)?;
+        drop(sp);
         let mut opt_g = Adam::gan(tc.lr).with_clip_norm(5.0);
         let mut opt_d = Adam::gan(tc.lr).with_clip_norm(5.0);
         let mut stats = TrainStats::default();
@@ -483,8 +525,6 @@ impl SpectraGan {
             stats::set_enabled(true);
             stats::take_table(); // drop counters from before this run
         }
-        let obs_on = opts.obs_on();
-        let _obs_guard = obs::ObsGuard::new(obs_on);
         // Chrome-trace export needs the raw events of the whole run;
         // span stats per step only need that step's batch.
         let mut trace_events: Vec<obs::SpanEvent> = Vec::new();

@@ -12,7 +12,7 @@
 //!   RNG re-rolls are exhausted; healthy runs log zero events.
 
 use spectragan_core::{
-    checkpoint, CoreError, SpectraGan, SpectraGanConfig, TrainConfig, TrainOptions,
+    checkpoint, CoreError, SpectraGan, SpectraGanConfig, TrainConfig, TrainOptions, Variant,
 };
 use spectragan_geo::City;
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
@@ -269,6 +269,46 @@ fn bad_training_inputs_are_typed_errors() {
             assert_eq!(need, 24);
         }
         other => panic!("expected SeriesTooShort, got: {other}"),
+    }
+
+    // A NaN or +inf inside the training window is a typed error naming
+    // the city and the first offending (t, y, x), for every variant
+    // and before any worker runs.
+    for (bad, variant) in [
+        (f32::NAN, Variant::Full),
+        (f32::INFINITY, Variant::TimeOnly),
+    ] {
+        let mut city = tiny_city(3);
+        *city.traffic.at_mut(20, 7, 4) = bad;
+        *city.traffic.at_mut(21, 0, 0) = bad;
+        // Past the training window: never read, never reported.
+        *city.traffic.at_mut(30, 0, 0) = f32::NAN;
+        let mut model = SpectraGan::new(
+            SpectraGanConfig {
+                variant,
+                ..SpectraGanConfig::tiny()
+            },
+            0,
+        );
+        let err = model
+            .train(std::slice::from_ref(&city), &tc())
+            .expect_err("non-finite traffic");
+        match &err {
+            CoreError::NonFiniteTraffic {
+                city: name,
+                t,
+                y,
+                x,
+                value,
+            } => {
+                assert_eq!(name, &city.name);
+                assert_eq!((*t, *y, *x), (20, 7, 4), "{err}");
+                assert_eq!(value.to_bits(), bad.to_bits());
+            }
+            other => panic!("expected NonFiniteTraffic for {bad}, got: {other}"),
+        }
+        let msg = err.to_string();
+        assert!(msg.contains(&city.name) && msg.contains("step 20"), "{msg}");
     }
 }
 

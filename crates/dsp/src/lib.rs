@@ -6,9 +6,10 @@
 //! relies on, implemented from scratch:
 //!
 //! * [`Complex`] — minimal complex arithmetic on `f64`.
-//! * [`fft`] / [`ifft`] — discrete Fourier transforms for *any* length
-//!   (iterative radix-2 Cooley–Tukey for powers of two, Bluestein's
-//!   chirp-z algorithm otherwise).
+//! * [`FftPlan`] — the discrete Fourier transform for *any* length,
+//!   planned once per length (iterative radix-2 Cooley–Tukey for powers
+//!   of two, Bluestein's chirp-z algorithm otherwise); [`fft()`] /
+//!   [`ifft`] are its one-shot forms.
 //! * [`rfft`] / [`irfft`] — the real-input transforms used on traffic
 //!   time series (`N` reals ↔ `N/2 + 1` complex bins).
 //! * [`spectrum`] — magnitude spectra, the paper's quantile mask
@@ -31,7 +32,7 @@ pub mod window;
 pub use autocorr::{autocorrelation, cross_correlation, lead_lag};
 pub use complex::Complex;
 pub use expand::{expand_spectrum, expand_spectrum_fractional};
-pub use fft::{fft, ifft};
+pub use fft::{fft, ifft, FftPlan};
 pub use rfft::{irfft, rfft};
 pub use spectrum::{magnitude, mask_quantile, reconstruct_top_k, top_k_indices};
 pub use stft::{periodogram, power_concentration, spectral_entropy, stft, Spectrogram};

@@ -7,7 +7,7 @@
 //! disambiguate even/odd `N`).
 
 use crate::complex::Complex;
-use crate::fft::{fft, ifft};
+use crate::fft::FftPlan;
 
 /// Number of one-sided spectrum bins for a real signal of length `n`.
 #[inline]
@@ -19,10 +19,15 @@ pub fn rfft_len(n: usize) -> usize {
 ///
 /// Bin 0 is DC; for even `n` the last bin is the Nyquist component.
 /// Unnormalized (matches [`crate::fft::fft`]).
+///
+/// # Panics
+/// Panics if `x` is empty.
 pub fn rfft(x: &[f64]) -> Vec<Complex> {
-    let buf: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
-    let full = fft(&buf);
-    full[..rfft_len(x.len())].to_vec()
+    assert!(!x.is_empty(), "rfft needs at least one sample");
+    let mut buf: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
+    FftPlan::forward(x.len()).process(&mut buf);
+    buf.truncate(rfft_len(x.len()));
+    buf
 }
 
 /// Inverse real FFT: one-sided spectrum → real signal of length `n`.
@@ -50,7 +55,8 @@ pub fn irfft(spec: &[Complex], n: usize) -> Vec<f64> {
         let src = spec[k];
         full[n - k] = src.conj();
     }
-    ifft(&full).into_iter().map(|z| z.re).collect()
+    FftPlan::inverse(n).process(&mut full);
+    full.into_iter().map(|z| z.re).collect()
 }
 
 #[cfg(test)]
@@ -111,6 +117,12 @@ mod tests {
         for bin in &spec[1..] {
             assert!(bin.abs() < 1e-9);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one sample")]
+    fn rfft_rejects_empty_input() {
+        let _ = rfft(&[]);
     }
 
     #[test]

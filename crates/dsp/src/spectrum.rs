@@ -15,17 +15,27 @@ pub fn magnitude(spec: &[Complex]) -> Vec<f64> {
     spec.iter().map(|z| z.abs()).collect()
 }
 
-/// The `q`-quantile (0 ≤ q ≤ 1) of a slice, by sorting a copy.
-///
-/// Uses the nearest-rank definition; an empty input returns 0.
+/// The `q`-quantile (0 ≤ q ≤ 1) of a slice (see [`quantile_in_place`],
+/// run on a copy).
 pub fn quantile(values: &[f64], q: f64) -> f64 {
+    quantile_in_place(&mut values.to_vec(), q)
+}
+
+/// The `q`-quantile (0 ≤ q ≤ 1) of `values`, found by sorting them in
+/// place, so that no copy is made.
+///
+/// Uses the nearest-rank definition: the element at index
+/// `round(q·(len − 1))` of the sorted values. An empty input returns 0.
+///
+/// # Panics
+/// Panics if the values include a NaN.
+pub fn quantile_in_place(values: &mut [f64], q: f64) -> f64 {
     if values.is_empty() {
         return 0.0;
     }
-    let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let idx = ((q.clamp(0.0, 1.0)) * (v.len() - 1) as f64).round() as usize;
-    v[idx]
+    values.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+    let idx = ((q.clamp(0.0, 1.0)) * (values.len() - 1) as f64).round() as usize;
+    values[idx]
 }
 
 /// Applies the paper's mask `M^q`: zeroes every bin whose magnitude is

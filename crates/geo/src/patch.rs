@@ -122,22 +122,27 @@ impl PatchLayout {
     pub fn extract_context(&self, ctx: &ContextMap, pos: (usize, usize)) -> Tensor {
         let m = self.spec.margin() as isize;
         let side = self.spec.context;
-        let c = ctx.channels();
-        let (h, w) = (ctx.height() as isize, ctx.width() as isize);
+        let (c, h, w) = (ctx.channels(), ctx.height(), ctx.width());
         let mut out = Tensor::zeros([c, side, side]);
+        // The window's columns that fall inside the city.
+        let x0 = pos.1 as isize - m;
+        let dx0 = (-x0).clamp(0, side as isize) as usize;
+        let dx1 = (w as isize - x0).clamp(dx0 as isize, side as isize) as usize;
+        if dx0 == dx1 {
+            return out;
+        }
+        let sx0 = (x0 + dx0 as isize) as usize;
+        let cols = dx1 - dx0;
         for ch in 0..c {
+            let plane = ctx.channel(ch);
             for dy in 0..side {
                 let sy = pos.0 as isize - m + dy as isize;
-                if sy < 0 || sy >= h {
+                if sy < 0 || sy >= h as isize {
                     continue;
                 }
-                for dx in 0..side {
-                    let sx = pos.1 as isize - m + dx as isize;
-                    if sx < 0 || sx >= w {
-                        continue;
-                    }
-                    *out.at_mut(&[ch, dy, dx]) = ctx.at(ch, sy as usize, sx as usize);
-                }
+                let src = sy as usize * w + sx0;
+                let dst = (ch * side + dy) * side + dx0;
+                out.data_mut()[dst..dst + cols].copy_from_slice(&plane[src..src + cols]);
             }
         }
         out
@@ -156,10 +161,11 @@ impl PatchLayout {
         let side = self.spec.traffic;
         let mut out = Tensor::zeros([t1 - t0, side, side]);
         for (ti, t) in (t0..t1).enumerate() {
+            let frame = map.frame(t);
             for dy in 0..side {
-                for dx in 0..side {
-                    *out.at_mut(&[ti, dy, dx]) = map.at(t, pos.0 + dy, pos.1 + dx);
-                }
+                let src = (pos.0 + dy) * map.width() + pos.1;
+                let dst = (ti * side + dy) * side;
+                out.data_mut()[dst..dst + side].copy_from_slice(&frame[src..src + side]);
             }
         }
         out

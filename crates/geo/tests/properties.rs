@@ -77,9 +77,10 @@ proptest! {
     }
 
     /// Context extraction agrees with the map inside bounds and is zero
-    /// outside, for any position.
+    /// outside, for every layout position and one arbitrary position,
+    /// which may put the window partly or wholly outside the city.
     #[test]
-    fn context_padding_is_exact(h in 8usize..16, w in 8usize..16, seed in 0u64..50) {
+    fn context_padding_is_exact(h in 8usize..16, w in 8usize..16, seed in 0u64..50, (ey, ex) in (0usize..40, 0usize..40)) {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut ctx = ContextMap::zeros(3, h, w);
@@ -88,7 +89,7 @@ proptest! {
         }
         let spec = PatchSpec::new(8, 16, 4);
         let layout = PatchLayout::new(GridSpec::new(h, w), spec);
-        for &(py, px) in layout.positions() {
+        for &(py, px) in layout.positions().iter().chain([(ey, ex)].iter()) {
             let patch = layout.extract_context(&ctx, (py, px));
             let m = spec.margin() as isize;
             for ch in 0..3 {

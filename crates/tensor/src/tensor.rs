@@ -478,23 +478,34 @@ impl Tensor {
         }
         let out_dims: Vec<usize> = perm.iter().map(|&p| dims[p]).collect();
         let in_strides = self.shape.strides();
-        let out_shape = Shape::new(&out_dims);
-        let out_strides = out_shape.strides();
-        let mut out = arena::take_zeroed(self.numel());
-        // Walk output positions in order, mapping back to input offsets.
-        let mut idx = vec![0usize; nd];
-        for (o, slot) in out.iter_mut().enumerate() {
-            let mut rem = o;
-            let mut src = 0usize;
-            for d in 0..nd {
-                idx[d] = rem / out_strides[d];
-                rem %= out_strides[d];
-                src += idx[d] * in_strides[perm[d]];
+        // The input stride of each output axis.
+        let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+        let n = self.numel();
+        let mut out = arena::take(n);
+        if n > 0 {
+            // Walk the output one innermost row at a time; an odometer
+            // over the outer axes carries the row's input offset.
+            let (inner, inner_stride) = match nd {
+                0 => (1, 0),
+                _ => (out_dims[nd - 1], src_strides[nd - 1]),
+            };
+            let mut idx = vec![0usize; nd.saturating_sub(1)];
+            let mut base = 0usize;
+            for _ in 0..n / inner {
+                out.extend((0..inner).map(|i| self.data[base + i * inner_stride]));
+                for d in (0..idx.len()).rev() {
+                    idx[d] += 1;
+                    base += src_strides[d];
+                    if idx[d] < out_dims[d] {
+                        break;
+                    }
+                    base -= src_strides[d] * out_dims[d];
+                    idx[d] = 0;
+                }
             }
-            *slot = self.data[src];
         }
         Tensor {
-            shape: out_shape,
+            shape: Shape::new(&out_dims),
             data: out,
         }
     }

@@ -66,6 +66,36 @@ proptest! {
         prop_assert_eq!(x.permute(&perm).permute(&inv), x);
     }
 
+    /// Output element `i` of a permutation is input element
+    /// `i` with its coordinates reordered, for ranks 0 to 4 and any
+    /// extents, empty and single-element axes included.
+    #[test]
+    fn permute_moves_every_element(seed in 0u64..200, rank in 0usize..5) {
+        use rand::{Rng, SeedableRng};
+        use rand::seq::SliceRandom;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let dims: Vec<usize> = (0..rank).map(|_| rng.gen_range(0usize..5)).collect();
+        let x = Tensor::randn(dims.clone(), &mut rng);
+        let mut perm: Vec<usize> = (0..rank).collect();
+        perm.shuffle(&mut rng);
+        let y = x.permute(&perm);
+        let out_dims: Vec<usize> = perm.iter().map(|&p| dims[p]).collect();
+        prop_assert_eq!(y.shape().dims(), &out_dims[..]);
+        let mut idx = vec![0usize; rank];
+        for o in 0..y.numel() {
+            let mut rem = o;
+            for d in (0..rank).rev() {
+                idx[d] = rem % out_dims[d];
+                rem /= out_dims[d];
+            }
+            let mut src = vec![0usize; rank];
+            for (d, &p) in perm.iter().enumerate() {
+                src[p] = idx[d];
+            }
+            prop_assert_eq!(y.data()[o].to_bits(), x.at(&src).to_bits());
+        }
+    }
+
     /// The gradient of sum(x ⊙ w) wrt x is exactly w (linear form).
     #[test]
     fn gradient_of_linear_form(n in 1usize..20, seed in 0u64..100) {
