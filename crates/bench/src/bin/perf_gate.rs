@@ -1,12 +1,10 @@
 //! Perf smoke gate for CI: times the hot nn kernels, a short training
 //! run, a full-city generation sweep under **each kernel backend**
-//! (scalar reference, simd), a shard-count sweep over the multiprocess
-//! gradient reducer, the observability layer's disabled-mode overhead,
-//! and the weight-storage sweep (JSON vs f32/f16/int8 `SGWT`
-//! containers, plus dequantizing-GEMM bandwidth), prints fixed-width
-//! tables and writes the numbers to `BENCH_pr10.json` so regressions
-//! show up in the job summary rather than only in local Criterion
-//! runs.
+//! (scalar reference, simd), the observability layer's disabled-mode
+//! overhead, and the weight-storage sweep (JSON model file vs f32
+//! `SGWT` container), prints fixed-width tables and writes the numbers
+//! to `BENCH_pr10.json` so regressions show up in the job summary
+//! rather than only in local Criterion runs.
 //!
 //! ```text
 //! cargo run --release -p spectragan-bench --bin perf_gate
@@ -20,7 +18,7 @@
 //! bytes during city generation (hard assertion in `spectragan-core`'s
 //! `streaming_generation` test), and the simd-over-scalar speedups.
 //!
-//! Three checks here *are* hard:
+//! Two checks here *are* hard:
 //!
 //! * the simd backend must beat the scalar reference by at least
 //!   [`MIN_SIMD_CONV_SPEEDUP`]× on the `conv2d_bias_fwd_bwd_27ch_16px`
@@ -32,21 +30,12 @@
 //!   baseline the budget was set against). The projection multiplies
 //!   the measured cost of one disabled gate probe by a counted (not
 //!   guessed) number of gate sites per step, so it cannot be fooled by
-//!   wall-clock noise the way a naive off-vs-on comparison can;
-//! * the projected per-step cost of the `GradReducer` seam at
-//!   `--shards 1` — what the compute/reduce/apply refactor added to
-//!   the single-process loop — must stay under
-//!   [`MAX_SEAM_OVERHEAD_PCT`] of a scalar training step. Measured the
-//!   same projection way: microbench the `LocalReducer` dispatch with
-//!   a no-op driver and divide by the real step time.
+//!   wall-clock noise the way a naive off-vs-on comparison can.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
-use spectragan_core::{
-    GradReducer, LocalReducer, Phase, SpectraGan, SpectraGanConfig, StepGrads, TrainConfig,
-    TrainOptions,
-};
+use spectragan_core::{SpectraGan, SpectraGanConfig, TrainConfig};
 use spectragan_nn::{Binding, Conv2d, Linear, ParamStore};
 use spectragan_obs as obs;
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
@@ -62,25 +51,8 @@ const MAX_DISABLED_OBS_OVERHEAD_PCT: f64 = 2.0;
 /// `conv2d_bias_fwd_bwd_27ch_16px` microbench.
 const MIN_SIMD_CONV_SPEEDUP: f64 = 2.0;
 
-/// Hard ceiling on the projected per-step cost of the `GradReducer`
-/// seam at `--shards 1`, as a percentage of a scalar training step —
-/// the "lifting reduction behind a trait object must not slow down
-/// single-process training" contract.
-const MAX_SEAM_OVERHEAD_PCT: f64 = 3.0;
-
 /// The microbench the hard speedup gate keys on.
 const CONV_GATE_BENCH: &str = "conv2d_bias_fwd_bwd_27ch_16px";
-
-/// Hard floor on the resident-weight reduction of serving out of an
-/// f16 `SGWT` container vs. the JSON model file — the point of the
-/// half-precision path.
-const MIN_F16_RESIDENT_REDUCTION: f64 = 2.0;
-
-/// Hard floor on the resident-weight reduction of serving out of an
-/// int8 `SGWT` container vs. the full-f32 (JSON) footprint. The ideal
-/// is 4×; per-row f32 scales and the biases kept in f32 cost a little,
-/// so the floor sits at 3.5× on the paper-scale config.
-const MIN_INT8_RESIDENT_REDUCTION: f64 = 3.5;
 
 #[derive(Serialize)]
 struct MicroRow {
@@ -142,24 +114,6 @@ struct ObsGate {
     projected_overhead_pct: f64,
 }
 
-/// One shard topology's measured step time (scalar backend).
-#[derive(Serialize)]
-struct ShardRow {
-    shards: usize,
-    /// `local` = in-process `LocalReducer`; `multiprocess` = forked
-    /// workers speaking gradient frames over pipes (at shards = 1 the
-    /// multiprocess row covers the framing path with zero workers).
-    mode: String,
-    ms_per_step: f64,
-}
-
-#[derive(Serialize)]
-struct ShardGate {
-    sweep: Vec<ShardRow>,
-    ns_per_seam_roundtrip: f64,
-    seam_overhead_pct: f64,
-}
-
 /// One model-storage format's load latency and residency profile.
 #[derive(Serialize)]
 struct WeightsRow {
@@ -178,38 +132,15 @@ struct WeightsRow {
     mapped: bool,
 }
 
-/// Weight-stream bandwidth of one GEMM kernel on one backend: how many
-/// bytes of weight operand the kernel pulls per second.
-#[derive(Serialize)]
-struct MatmulBwRow {
-    backend: String,
-    kernel: String,
-    m: usize,
-    k: usize,
-    n: usize,
-    micros_per_iter: f64,
-    /// Weight-operand bytes (f32: 4·k·n; int8: k·n + 4·k scales)
-    /// divided by iteration time.
-    weight_gib_per_s: f64,
-}
-
 #[derive(Serialize)]
 struct WeightsGate {
     rows: Vec<WeightsRow>,
-    /// JSON resident footprint over the f16 container's, post-generate.
-    f16_resident_reduction: f64,
-    /// JSON (full f32) resident footprint over the int8 container's,
-    /// post-generate. Hard-gated at [`MIN_INT8_RESIDENT_REDUCTION`].
-    int8_resident_reduction: f64,
-    /// f32 matmul vs dequantizing int8 GEMM, per backend.
-    matmul_bandwidth: Vec<MatmulBwRow>,
 }
 
 #[derive(Serialize)]
 struct Report {
     backends: Vec<BackendSweep>,
     speedups: Vec<SpeedupRow>,
-    shard: ShardGate,
     obs: ObsGate,
     weights: WeightsGate,
 }
@@ -342,127 +273,6 @@ fn train_gate() -> TrainGate {
         fresh_kib_per_step: stats.fresh_bytes as f64 / 1024.0 / steps as f64,
         reused_buffers_per_step: stats.reused as f64 / steps as f64,
         pooled_mib: arena::pooled_bytes() as f64 / (1024.0 * 1024.0),
-    }
-}
-
-/// Shard sweep and seam-overhead gate for the sharded-training seam.
-///
-/// The sweep wall-clocks a short scalar training run at shards ∈
-/// {1, 2, 4} (plus the `--shards 1` multiprocess framing path, which
-/// runs the full codec with zero forked workers). Compute is
-/// *replicated* across shards — that is what buys bit-identical
-/// weights at any shard count — so on a small host the sweep shows
-/// process/framing overhead, not speedup; the rows exist to catch that
-/// overhead growing, not to demonstrate scaling.
-///
-/// The hard gate is a projection, like the obs gate: what the
-/// compute/reduce/apply refactor added to the single-process loop is
-/// one `LocalReducer` round trip per step (two dynamic dispatches, a
-/// `Phase` discriminant, one `StepGrads` move), so microbench exactly
-/// that with a no-op driver and hard-assert it under
-/// [`MAX_SEAM_OVERHEAD_PCT`] of the measured scalar step. A wall-clock
-/// diff against a loop that no longer exists would be noise; the
-/// projection cannot be.
-fn shard_gate(ms_per_step_local: f64) -> ShardGate {
-    let ds = DatasetConfig {
-        weeks: 1,
-        steps_per_hour: 1,
-        size_scale: 0.36,
-    };
-    let city = generate_city(
-        &CityConfig {
-            name: "SG".into(),
-            height: 17,
-            width: 17,
-            seed: 4,
-        },
-        &ds,
-    );
-    let tc = TrainConfig {
-        steps: 10,
-        batch_patches: 2,
-        lr: 3e-3,
-        seed: 7,
-    };
-
-    let mut sweep = vec![ShardRow {
-        shards: 1,
-        mode: "local".to_string(),
-        ms_per_step: ms_per_step_local,
-    }];
-    for (shards, force) in [(1usize, true), (2, false), (4, false)] {
-        let opts = TrainOptions {
-            shards,
-            force_multiprocess: force,
-            ..TrainOptions::default()
-        };
-        let mut best = f64::INFINITY;
-        // Best-of-2 after one warm-up: each run re-forks its workers,
-        // so the warm-up only pre-fills the tensor pools.
-        let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
-        model
-            .train_with(std::slice::from_ref(&city), &tc, &opts)
-            .expect("shard sweep warm-up failed");
-        for _ in 0..2 {
-            let start = Instant::now();
-            model
-                .train_with(std::slice::from_ref(&city), &tc, &opts)
-                .expect("shard sweep run failed");
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        sweep.push(ShardRow {
-            shards,
-            mode: "multiprocess".to_string(),
-            ms_per_step: best * 1e3 / tc.steps as f64,
-        });
-    }
-
-    // The seam microbench: one compute + apply round trip through the
-    // `LocalReducer` with a driver that does no arithmetic.
-    let mut reducer = LocalReducer;
-    let mut driver = |phase: Phase<'_>| match phase {
-        Phase::Compute { step, lane } => {
-            black_box((step, lane));
-            Some(StepGrads {
-                d_loss: 0.0,
-                g_adv: 0.0,
-                l1: 0.0,
-                grad_norm_d: 0.0,
-                grad_norm_g: 0.0,
-                d_updates: Vec::new(),
-                g_updates: Vec::new(),
-            })
-        }
-        Phase::Apply { grads } => {
-            black_box(grads.d_loss);
-            None
-        }
-    };
-    let iters = 2_000_000u64;
-    for i in 0..1000u64 {
-        let g = reducer.compute(i, 0, &mut driver).expect("seam compute");
-        reducer.apply(i, 0, &g, &mut driver).expect("seam apply");
-    }
-    let t = Instant::now();
-    for i in 0..iters {
-        let g = reducer.compute(i, 0, &mut driver).expect("seam compute");
-        reducer
-            .apply(i, 0, black_box(&g), &mut driver)
-            .expect("seam apply");
-    }
-    let ns_roundtrip = t.elapsed().as_secs_f64() * 1e9 / iters as f64;
-    let seam_overhead_pct = ns_roundtrip / (ms_per_step_local * 1e6) * 100.0;
-    assert!(
-        seam_overhead_pct < MAX_SEAM_OVERHEAD_PCT,
-        "GradReducer seam projects to {seam_overhead_pct:.4}% of a \
-         {ms_per_step_local:.1} ms step ({ns_roundtrip:.1} ns/round trip) — \
-         over the {MAX_SEAM_OVERHEAD_PCT}% budget"
-    );
-
-    ShardGate {
-        sweep,
-        ns_per_seam_roundtrip: ns_roundtrip,
-        seam_overhead_pct,
     }
 }
 
@@ -615,17 +425,9 @@ fn gen_gate() -> Vec<GenRow> {
 }
 
 /// Weight-storage sweep: load latency and resident weight bytes for
-/// the JSON model file vs. f32, f16 and int8 `SGWT` containers,
-/// measured around a real generation so lazy sections get their first
-/// touch. Runs the paper-scale `default_hourly` config — the residency
-/// floors are statements about real models, where matrices dominate
-/// the f32 biases that int8 containers keep.
-///
-/// Two hard gates: the f16 container's post-generation resident weight
-/// footprint must be at most 1/[`MIN_F16_RESIDENT_REDUCTION`] of the
-/// JSON path's, and the int8 container's at most
-/// 1/[`MIN_INT8_RESIDENT_REDUCTION`] — the memory contracts that pay
-/// for the reduced-precision machinery.
+/// the JSON model file vs. an f32 `SGWT` container, measured around a
+/// real generation so lazy sections get their first touch. Runs the
+/// paper-scale `default_hourly` config.
 fn weights_gate() -> WeightsGate {
     use spectragan_core::weights::{self, Precision, WeightStore};
 
@@ -636,10 +438,6 @@ fn weights_gate() -> WeightsGate {
     std::fs::write(&json_path, model.to_model_json()).expect("write model.json");
     let f32_path = dir.join("model_f32.sgwt");
     weights::save_weights(&model, &f32_path, Precision::F32).expect("write f32 sgwt");
-    let f16_path = dir.join("model_f16.sgwt");
-    weights::save_weights(&model, &f16_path, Precision::F16).expect("write f16 sgwt");
-    let int8_path = dir.join("model_int8.sgwt");
-    weights::save_weights(&model, &int8_path, Precision::Int8).expect("write int8 sgwt");
 
     let ds = DatasetConfig {
         weeks: 1,
@@ -686,94 +484,14 @@ fn weights_gate() -> WeightsGate {
             false,
         )
     });
-    for (format, path, _precision) in [
-        ("sgwt-f32", &f32_path, Precision::F32),
-        ("sgwt-f16", &f16_path, Precision::F16),
-        ("sgwt-int8", &int8_path, Precision::Int8),
-    ] {
-        measure(format, path, &|| {
-            let store = WeightStore::open(path).expect("open sgwt");
-            store.validate_all().expect("validate sgwt");
-            let mapped = store.is_mapped();
-            (store.load_model().expect("load sgwt model"), mapped)
-        });
-    }
+    measure("sgwt-f32", &f32_path, &|| {
+        let store = WeightStore::open(&f32_path).expect("open sgwt");
+        store.validate_all().expect("validate sgwt");
+        let mapped = store.is_mapped();
+        (store.load_model().expect("load sgwt model"), mapped)
+    });
     let _ = std::fs::remove_dir_all(&dir);
-
-    let json_resident = rows[0].resident_after_generate as f64;
-    let f16_resident = rows[2].resident_after_generate as f64;
-    let f16_resident_reduction = json_resident / f16_resident;
-    assert!(
-        f16_resident_reduction >= MIN_F16_RESIDENT_REDUCTION,
-        "f16 container keeps {f16_resident:.0} weight bytes resident vs {json_resident:.0} \
-         for JSON — only {f16_resident_reduction:.2}x under the \
-         {MIN_F16_RESIDENT_REDUCTION}x floor"
-    );
-    let int8_resident = rows[3].resident_after_generate as f64;
-    let int8_resident_reduction = json_resident / int8_resident;
-    assert!(
-        int8_resident_reduction >= MIN_INT8_RESIDENT_REDUCTION,
-        "int8 container keeps {int8_resident:.0} weight bytes resident vs {json_resident:.0} \
-         for JSON — only {int8_resident_reduction:.2}x under the \
-         {MIN_INT8_RESIDENT_REDUCTION}x floor"
-    );
-
-    WeightsGate {
-        rows,
-        f16_resident_reduction,
-        int8_resident_reduction,
-        matmul_bandwidth: matmul_bandwidth(),
-    }
-}
-
-/// Weight-stream bandwidth of the f32 matmul vs the dequantizing int8
-/// GEMM, per backend: the int8 kernel reads a 4×-narrower weight
-/// operand, so at equal arithmetic throughput it serves the same GEMM
-/// from a quarter of the memory traffic. A serving-shaped problem —
-/// a modest activation batch against a wide weight matrix — keeps the
-/// weight stream the dominant operand.
-fn matmul_bandwidth() -> Vec<MatmulBwRow> {
-    use spectragan_tensor::backend::scalar::ScalarBackend;
-    use spectragan_tensor::backend::simd::SimdBackend;
-    use spectragan_tensor::backend::Backend;
-    use spectragan_tensor::q8;
-
-    let (m, k, n) = (64usize, 256usize, 256usize);
-    let mut rng = StdRng::seed_from_u64(9);
-    let a = Tensor::randn([m, k], &mut rng);
-    let b = Tensor::randn([k, n], &mut rng);
-    let q = q8::quantize_tensor(b.data(), b.shape());
-
-    let mut rows = Vec::new();
-    let backends: [(&str, &dyn Backend); 2] = [("scalar", &ScalarBackend), ("simd", &SimdBackend)];
-    for (name, backend) in backends {
-        let f32_row = bench(&format!("{name}_matmul_f32"), 3, 30, || {
-            black_box(backend.matmul(&a, &b));
-        });
-        let q8_row = bench(&format!("{name}_matmul_q8"), 3, 30, || {
-            black_box(backend.matmul_q8(&a, &q.data, &q.scales, n));
-        });
-        let gibs = |bytes: usize, micros: f64| bytes as f64 / (micros * 1e-6) / (1u64 << 30) as f64;
-        rows.push(MatmulBwRow {
-            backend: name.to_string(),
-            kernel: "matmul_f32".into(),
-            m,
-            k,
-            n,
-            micros_per_iter: f32_row.micros_per_iter,
-            weight_gib_per_s: gibs(4 * k * n, f32_row.micros_per_iter),
-        });
-        rows.push(MatmulBwRow {
-            backend: name.to_string(),
-            kernel: "matmul_q8".into(),
-            m,
-            k,
-            n,
-            micros_per_iter: q8_row.micros_per_iter,
-            weight_gib_per_s: gibs(k * n + 4 * k, q8_row.micros_per_iter),
-        });
-    }
-    rows
+    WeightsGate { rows }
 }
 
 /// Runs the full measurement sweep under one pinned backend.
@@ -876,16 +594,12 @@ fn main() {
     let scalar = backend_sweep(BackendKind::Scalar);
     let simd = backend_sweep(BackendKind::Simd);
 
-    // The obs and seam budgets are defined against the scalar
-    // reference step (the ratio inflates mechanically as kernels get
-    // faster, which would punish the simd backend for being fast, not
-    // the gated layer for being slow). Pin the backend so the
-    // instrumented runs match the step the budgets divide by. The
-    // shard sweep forks workers, which is safe here: the pool's
-    // threads are scoped per call, so nothing else is running at fork
-    // time.
+    // The obs budget is defined against the scalar reference step
+    // (the ratio inflates mechanically as kernels get faster, which
+    // would punish the simd backend for being fast, not the gated
+    // layer for being slow). Pin the backend so the instrumented runs
+    // match the step the budget divides by.
     set_backend(Some(BackendKind::Scalar));
-    let shard = shard_gate(scalar.train.ms_per_step);
     let obs = obs_gate(scalar.train.ms_per_step);
     let weights = weights_gate();
     set_backend(None);
@@ -916,23 +630,6 @@ fn main() {
         conv.speedup,
         conv.simd,
         conv.scalar
-    );
-
-    println!();
-    println!("perf gate — shard sweep (scalar, replicated compute)");
-    println!("{:<8} {:<14} {:>12}", "shards", "mode", "ms/step");
-    for r in &shard.sweep {
-        println!("{:<8} {:<14} {:>12.1}", r.shards, r.mode, r.ms_per_step);
-    }
-    println!(
-        "{:<28} {:>12}",
-        "seam ns/round trip",
-        format!("{:.1}", shard.ns_per_seam_roundtrip)
-    );
-    println!(
-        "{:<28} {:>12}",
-        "seam overhead %",
-        format!("{:.5}", shard.seam_overhead_pct)
     );
 
     println!();
@@ -975,34 +672,10 @@ fn main() {
             r.mapped
         );
     }
-    println!(
-        "{:<28} {:>12}",
-        "f16 resident reduction",
-        format!("{:.2}x", weights.f16_resident_reduction)
-    );
-    println!(
-        "{:<28} {:>12}",
-        "int8 resident reduction",
-        format!("{:.2}x", weights.int8_resident_reduction)
-    );
-
-    println!();
-    println!("perf gate — weight-stream bandwidth (64x256 @ 256x256 GEMM)");
-    println!(
-        "{:<10} {:<12} {:>12} {:>16}",
-        "backend", "kernel", "us/iter", "weight GiB/s"
-    );
-    for r in &weights.matmul_bandwidth {
-        println!(
-            "{:<10} {:<12} {:>12.2} {:>16.2}",
-            r.backend, r.kernel, r.micros_per_iter, r.weight_gib_per_s
-        );
-    }
 
     let report = Report {
         backends: vec![scalar, simd],
         speedups,
-        shard,
         obs,
         weights,
     };

@@ -30,6 +30,8 @@ pub enum ArgError {
     },
     /// Unexpected extra positional argument.
     UnexpectedPositional(String),
+    /// Flags the subcommand does not read, in sorted order.
+    UnknownFlags { command: String, flags: Vec<String> },
 }
 
 impl fmt::Display for ArgError {
@@ -47,6 +49,10 @@ impl fmt::Display for ArgError {
             ArgError::UnexpectedPositional(tok) => {
                 write!(f, "unexpected argument '{tok}'")
             }
+            ArgError::UnknownFlags { command, flags } => {
+                let list: Vec<String> = flags.iter().map(|f| format!("--{f}")).collect();
+                write!(f, "'{command}' does not take {}", list.join(", "))
+            }
         }
     }
 }
@@ -54,7 +60,7 @@ impl fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 /// Flags that never take a value.
-const SWITCHES: &[&str] = &["csv", "full", "help", "noise", "op-stats", "quiet"];
+const SWITCHES: &[&str] = &["csv", "help", "op-stats", "quiet"];
 
 impl Args {
     /// Parses tokens (without the program name).
@@ -81,6 +87,37 @@ impl Args {
             }
         }
         Ok(out)
+    }
+
+    /// Checks that every option and switch given is one `command`
+    /// reads, so a misspelt or retired flag is an error rather than
+    /// silently ignored. Subcommands call this before doing any work.
+    pub fn expect_only(
+        &self,
+        command: &str,
+        options: &[&str],
+        switches: &[&str],
+    ) -> Result<(), ArgError> {
+        let mut flags: Vec<String> = self
+            .options
+            .keys()
+            .filter(|k| !options.contains(&k.as_str()))
+            .chain(
+                self.switches
+                    .iter()
+                    .filter(|s| !switches.contains(&s.as_str())),
+            )
+            .cloned()
+            .collect();
+        if flags.is_empty() {
+            return Ok(());
+        }
+        flags.sort();
+        flags.dedup();
+        Err(ArgError::UnknownFlags {
+            command: command.to_string(),
+            flags,
+        })
     }
 
     /// Whether a boolean switch was given.
@@ -127,11 +164,11 @@ mod tests {
 
     #[test]
     fn parses_subcommand_options_and_switches() {
-        let a = Args::parse(toks("train --steps 200 --out m.json --full")).unwrap();
+        let a = Args::parse(toks("train --steps 200 --out m.json --quiet")).unwrap();
         assert_eq!(a.command.as_deref(), Some("train"));
         assert_eq!(a.get("steps"), Some("200"));
         assert_eq!(a.get("out"), Some("m.json"));
-        assert!(a.switch("full"));
+        assert!(a.switch("quiet"));
         assert!(!a.switch("csv"));
     }
 
@@ -153,6 +190,25 @@ mod tests {
             Args::parse(toks("train extra")).unwrap_err(),
             ArgError::UnexpectedPositional(_)
         ));
+    }
+
+    #[test]
+    fn flags_a_command_does_not_read_are_named() {
+        let a = Args::parse(toks("train --stepz 7 --shardz 4 --steps 3 --quiet --csv")).unwrap();
+        let err = a.expect_only("train", &["steps"], &["quiet"]).unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::UnknownFlags {
+                command: "train".into(),
+                flags: vec!["csv".into(), "shardz".into(), "stepz".into()],
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "'train' does not take --csv, --shardz, --stepz"
+        );
+        a.expect_only("train", &["steps", "stepz", "shardz"], &["quiet", "csv"])
+            .unwrap();
     }
 
     #[test]

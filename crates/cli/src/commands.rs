@@ -17,6 +17,12 @@ use std::path::Path;
 /// [--granularity 60|30|15] [--scale F]` — materialize the synthetic
 /// corpus as a dataset directory.
 pub fn cmd_dataset(args: &Args) -> Result<(), String> {
+    args.expect_only(
+        "dataset",
+        &["out", "weeks", "scale", "granularity", "country"],
+        &[],
+    )
+    .map_err(|e| e.to_string())?;
     let out = Path::new(args.require("out").map_err(|e| e.to_string())?);
     let weeks = args
         .get_parsed("weeks", 4usize, "integer")
@@ -81,12 +87,39 @@ fn parse_variant(name: &str) -> Result<Variant, String> {
 /// checkpoints, or resume a killed run from its last checkpoint
 /// (bit-identical to an uninterrupted run).
 pub fn cmd_train(args: &Args) -> Result<(), String> {
+    // A resumed run takes its model and training configuration, and
+    // its run directory, from the checkpoint, so it reads none of the
+    // flags that set them.
+    let resuming = args.get("resume").is_some();
+    let mut options = vec![
+        "data",
+        "out",
+        "resume",
+        "steps",
+        "holdout",
+        "checkpoint-every",
+        "guard-grad-norm",
+        "guard-max-retries",
+        "abort-at-step",
+        "trace",
+        "metrics-snapshot",
+        "grad-accum",
+    ];
+    if !resuming {
+        options.extend(["variant", "lr", "seed", "run-dir"]);
+    }
+    args.expect_only(
+        if resuming { "train --resume" } else { "train" },
+        &options,
+        &["op-stats", "quiet"],
+    )
+    .map_err(|e| e.to_string())?;
     let data = Path::new(args.require("data").map_err(|e| e.to_string())?);
     let out = args.require("out").map_err(|e| e.to_string())?;
 
     // Resume restores every hyper-parameter from the checkpoint; a
     // fresh run takes them from flags. `--steps` may extend a resumed
-    // run; other conflicting flags are rejected by validate_against.
+    // run.
     let resume = match args.get("resume") {
         None => None,
         Some(dir) => {
@@ -203,20 +236,6 @@ pub fn cmd_train(args: &Args) -> Result<(), String> {
         obs: false,
         trace: args.get("trace").map(Path::new),
         metrics_snapshot: args.get("metrics-snapshot").map(Path::new),
-        // Shard topology is free to change across resumes (it never
-        // changes the math); the flag wins, then SPECTRAGAN_SHARDS.
-        shards: match args.get("shards") {
-            Some(s) => {
-                let n: usize = s
-                    .parse()
-                    .map_err(|_| format!("--shards got '{s}', expected integer"))?;
-                if n == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                n
-            }
-            None => spectragan_tensor::envctl::shards(),
-        },
         // Accumulation is part of the step arithmetic: a resumed run
         // inherits the checkpoint's value unless overridden (train_with
         // rejects a mismatch).
@@ -233,12 +252,6 @@ pub fn cmd_train(args: &Args) -> Result<(), String> {
             (None, Some((_, found))) => found.checkpoint.grad_accum,
             (None, None) => 1,
         },
-        // Crash injection for the worker-death end-to-end test.
-        kill_worker_at_step: args
-            .get_parsed("kill-worker-at-step", 0usize, "integer")
-            .map(|s| if s == 0 { None } else { Some(s) })
-            .map_err(|e| e.to_string())?,
-        force_multiprocess: false,
     };
     if !args.switch("quiet") {
         match &resume {
@@ -268,22 +281,28 @@ pub fn cmd_train(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parses `--weights-precision` into an optional override.
-fn weights_precision_arg(args: &Args) -> Result<Option<weights::Precision>, String> {
-    args.get("weights-precision")
-        .map(|s| weights::Precision::parse(s).map_err(|e| e.to_string()))
-        .transpose()
-}
-
 /// `spectragan generate --model MODEL --context FILE.sgcm --hours N
-/// --out FILE.sgtm [--seed N] [--gen-batch N] [--csv]
-/// [--weights-precision f32|f16|int8]` — generate traffic for a
-/// region, reporting throughput and peak buffer memory. MODEL may be
-/// a JSON model file or an `SGWT` weight container (detected by
-/// magic); `--weights-precision f16` narrows the weights in memory,
-/// halving their resident bytes for the run, and `int8` quantizes
-/// them (~4× smaller, streamed through the dequantizing GEMM).
+/// --out FILE.sgtm [--seed N] [--gen-batch N] [--csv]` — generate
+/// traffic for a region, reporting throughput and peak buffer memory.
+/// MODEL may be a JSON model file or an `SGWT` weight container
+/// (detected by magic). An invalid request (zero hours, a context the
+/// model cannot cover) is an error, not a panic.
 pub fn cmd_generate(args: &Args) -> Result<(), String> {
+    args.expect_only(
+        "generate",
+        &[
+            "model",
+            "context",
+            "out",
+            "hours",
+            "seed",
+            "gen-batch",
+            "trace",
+            "metrics-snapshot",
+        ],
+        &["csv"],
+    )
+    .map_err(|e| e.to_string())?;
     let model_path = args.require("model").map_err(|e| e.to_string())?;
     let ctx_path = args.require("context").map_err(|e| e.to_string())?;
     let out = args.require("out").map_err(|e| e.to_string())?;
@@ -300,18 +319,7 @@ pub fn cmd_generate(args: &Args) -> Result<(), String> {
         return Err("--gen-batch must be at least 1".into());
     }
 
-    let mut model =
-        weights::load_model_auto(model_path).map_err(|e| format!("{model_path}: {e}"))?;
-    match weights_precision_arg(args)? {
-        Some(weights::Precision::F16) if !model.store().has_half_storage() => {
-            weights::narrow_to_f16(&mut model);
-        }
-        Some(weights::Precision::Int8) if !model.store().has_int8_storage() => {
-            weights::narrow_to_int8(&mut model);
-        }
-        _ => {}
-    }
-    let model = model;
+    let model = weights::load_model_auto(model_path).map_err(|e| format!("{model_path}: {e}"))?;
     let context = load_context(ctx_path).map_err(|e| format!("{ctx_path}: {e}"))?;
     let steps_per_hour = {
         // Model train_len is a week; derive granularity from it.
@@ -322,7 +330,9 @@ pub fn cmd_generate(args: &Args) -> Result<(), String> {
     let metrics_snapshot = args.get("metrics-snapshot").map(Path::new);
     let obs_on = trace.is_some() || metrics_snapshot.is_some();
     let _obs_guard = obs::ObsGuard::new(obs_on);
-    let (map, report) = model.generate_batched_report(&context, t_out, seed, true, gen_batch);
+    let (map, report) = model
+        .try_generate_batched_report(&context, t_out, seed, true, gen_batch)
+        .map_err(|e| e.to_string())?;
     if obs_on {
         let events = obs::drain_events();
         if let Some(path) = trace {
@@ -363,6 +373,19 @@ pub fn cmd_generate(args: &Args) -> Result<(), String> {
 /// multi-city generation server. Blocks until SIGTERM/SIGINT, then
 /// drains in-flight requests before exiting.
 pub fn cmd_serve(args: &Args) -> Result<(), String> {
+    args.expect_only(
+        "serve",
+        &[
+            "models",
+            "addr",
+            "workers",
+            "queue-depth",
+            "budget-mib",
+            "max-hours",
+        ],
+        &[],
+    )
+    .map_err(|e| e.to_string())?;
     let models = args.require("models").map_err(|e| e.to_string())?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7077");
     let mut cfg = spectragan_serve::ServeConfig::new(addr, models);
@@ -380,7 +403,6 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         .get_parsed("max-hours", 24 * 366, "integer")
         .map_err(|e| e.to_string())?;
     cfg.max_t_out = max_hours; // hourly models; sub-hourly caps are stricter
-    cfg.weights_precision = weights_precision_arg(args)?;
 
     let workers = cfg.workers;
     let server = spectragan_serve::Server::bind(cfg).map_err(|e| e.to_string())?;
@@ -406,32 +428,23 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// `spectragan export-weights --model MODEL --out FILE.sgwt
-/// [--precision f32|f16|int8]` — convert a model (JSON or SGWT) into
-/// an `SGWT` weight container: checksummed, 64-byte-aligned raw
-/// tensor sections that `generate` and `serve` open zero-copy via
-/// mmap. `--precision f16` stores half-precision sections, halving
-/// both the file and the resident serving footprint; `--precision
-/// int8` stores symmetric-absmax-quantized sections with per-row
-/// scales in the directory (~4× smaller than f32, biases stay f32).
+/// `spectragan export-weights --model MODEL --out FILE.sgwt` —
+/// convert a model (JSON or SGWT) into an `SGWT` weight container:
+/// checksummed, 64-byte-aligned raw f32 tensor sections that
+/// `generate` and `serve` open zero-copy via mmap.
 pub fn cmd_export_weights(args: &Args) -> Result<(), String> {
+    args.expect_only("export-weights", &["model", "out"], &[])
+        .map_err(|e| e.to_string())?;
     let model_path = args.require("model").map_err(|e| e.to_string())?;
     let out = args.require("out").map_err(|e| e.to_string())?;
-    let precision = args
-        .get("precision")
-        .map(weights::Precision::parse)
-        .transpose()
-        .map_err(|e| e.to_string())?
-        .unwrap_or(weights::Precision::F32);
     let model = weights::load_model_auto(model_path).map_err(|e| format!("{model_path}: {e}"))?;
-    weights::save_weights(&model, out, precision).map_err(|e| e.to_string())?;
+    weights::save_weights(&model, out, weights::Precision::F32).map_err(|e| e.to_string())?;
     let store = weights::WeightStore::open(out).map_err(|e| e.to_string())?;
     println!(
-        "exported {} layers ({} weights, {} section bytes, {}) → {out}",
+        "exported {} layers ({} weights, {} section bytes) → {out}",
         store.len(),
         model.store().num_weights(),
-        store.section_bytes(),
-        precision.name()
+        store.section_bytes()
     );
     Ok(())
 }
@@ -439,6 +452,8 @@ pub fn cmd_export_weights(args: &Args) -> Result<(), String> {
 /// `spectragan evaluate --real FILE --synth FILE [--steps-per-hour N]`
 /// — all five fidelity metrics (plus EMD) between two traffic files.
 pub fn cmd_evaluate(args: &Args) -> Result<(), String> {
+    args.expect_only("evaluate", &["real", "synth", "steps-per-hour"], &[])
+        .map_err(|e| e.to_string())?;
     let real_path = args.require("real").map_err(|e| e.to_string())?;
     let synth_path = args.require("synth").map_err(|e| e.to_string())?;
     let sph = args
@@ -466,6 +481,8 @@ pub fn cmd_evaluate(args: &Args) -> Result<(), String> {
 
 /// `spectragan info --file PATH` — describe a map or model file.
 pub fn cmd_info(args: &Args) -> Result<(), String> {
+    args.expect_only("info", &["file"], &[])
+        .map_err(|e| e.to_string())?;
     let path = args.require("file").map_err(|e| e.to_string())?;
     if path.ends_with(".sgtm") {
         let m = load_traffic(path).map_err(|e| format!("{path}: {e}"))?;
@@ -493,11 +510,7 @@ pub fn cmd_info(args: &Args) -> Result<(), String> {
         let store = weights::WeightStore::open(path).map_err(|e| format!("{path}: {e}"))?;
         store.validate_all().map_err(|e| format!("{path}: {e}"))?;
         let cfg = store.config();
-        println!(
-            "SGWT weight container: variant {:?}, {} precision",
-            cfg.variant,
-            store.precision().name()
-        );
+        println!("SGWT weight container: variant {:?}", cfg.variant);
         println!(
             "  T = {}, {} layers, {} section bytes{}",
             cfg.train_len,
@@ -533,13 +546,13 @@ USAGE:
   spectragan dataset  --out DIR [--country 1|2|all] [--weeks N] [--granularity 60|30|15] [--scale F]
   spectragan train    --data DIR --out MODEL.json [--steps N] [--lr F] [--variant V] [--holdout CITY] [--seed N] [--quiet]
                       [--run-dir DIR] [--checkpoint-every N] [--guard-grad-norm F] [--guard-max-retries N] [--op-stats]
-                      [--shards N] [--grad-accum K] [--trace TRACE.json] [--metrics-snapshot FILE.prom]
+                      [--grad-accum K] [--trace TRACE.json] [--metrics-snapshot FILE.prom]
   spectragan train    --data DIR --out MODEL.json --resume RUN_DIR [--steps N] [--holdout CITY] [--quiet]
+                      [the other flags of a fresh run, except --variant, --lr, --seed and --run-dir]
   spectragan generate --model MODEL --context FILE.sgcm --hours N --out FILE.sgtm [--seed N] [--gen-batch N] [--csv]
-                      [--weights-precision f32|f16|int8] [--trace TRACE.json] [--metrics-snapshot FILE.prom]
-  spectragan export-weights --model MODEL --out FILE.sgwt [--precision f32|f16|int8]
+                      [--trace TRACE.json] [--metrics-snapshot FILE.prom]
+  spectragan export-weights --model MODEL --out FILE.sgwt
   spectragan serve    --models DIR [--addr HOST:PORT] [--workers N] [--queue-depth N] [--budget-mib N] [--max-hours N]
-                      [--weights-precision f32|f16|int8]
   spectragan evaluate --real FILE.sgtm --synth FILE.sgtm [--steps-per-hour N]
   spectragan info     --file PATH
 
@@ -555,13 +568,8 @@ retried with a re-rolled RNG lane (at most --guard-max-retries times).
 --op-stats adds a per-op instrumentation table (call counts, wall time,
 buffer-pool traffic) to every train_log.jsonl record.
 
-Sharded training: --shards N (or SPECTRAGAN_SHARDS) forks N-1 worker
-processes that replicate each step and own slices of the reduced
-gradient, exchanged as CRC-framed messages over pipes; any shard count
-yields weights bit-identical to --shards 1, workers killed mid-step are
-respawned transparently, and the shard topology may change across a
---resume. --grad-accum K averages K minibatch gradients per optimizer
-step (K is checkpointed and must match on resume).
+Gradient accumulation: --grad-accum K averages K minibatch gradients
+per optimizer step (K is checkpointed and must match on resume).
 
 Generation streams patch chunks through a bounded in-flight window, so
 peak memory is independent of city size and patch overlap; --gen-batch
@@ -569,15 +577,15 @@ sets the patches per generator chunk (default 16) and the summary line
 reports wall time, Mpx·steps/s and peak buffer MiB.
 
 Weight containers: `export-weights` converts a model into an SGWT
-container — checksummed, 64-byte-aligned raw tensor sections behind a
-CRC-verified directory. `generate` and `serve` detect SGWT files by
-magic, open them zero-copy via mmap (layers are read on first touch)
-and fall back to buffered reads where mmap is unavailable. f16
-containers (and --weights-precision f16) halve resident weight bytes;
-int8 containers (and --weights-precision int8) quantize matrices with
-per-row absmax scales for ~4x smaller residency, streamed through a
-dequantizing GEMM (generation-only: training always runs f32); f32
-containers generate bit-identically to the JSON model file.
+container — checksummed, 64-byte-aligned raw f32 tensor sections
+behind a CRC-verified directory. `generate` and `serve` detect SGWT
+files by magic, open them zero-copy via mmap (layers are read on first
+touch) and fall back to buffered reads where mmap is unavailable;
+containers generate bit-identically to the JSON model file. The f16
+and int8 containers of earlier releases are refused; re-export them
+from the JSON model.
+
+Every subcommand refuses flags it does not read.
 
 Serving: `serve` runs a long-lived multi-city generation server over
 HTTP/1.1. The models directory holds one `<city>.sgcm` context per city

@@ -1,13 +1,21 @@
 //! End-to-end CLI workflow: dataset → train → generate → evaluate →
-//! info, entirely through the command functions.
+//! info, entirely through the command functions, plus the refusals a
+//! user sees from the `spectragan` binary itself.
 
 use spectragan_cli::args::Args;
 use spectragan_cli::commands::{
-    cmd_dataset, cmd_evaluate, cmd_export_weights, cmd_generate, cmd_info, cmd_train,
+    cmd_dataset, cmd_evaluate, cmd_export_weights, cmd_generate, cmd_info, cmd_serve, cmd_train,
 };
-use std::path::PathBuf;
+use spectragan_core::{SpectraGan, SpectraGanConfig};
+use spectragan_geo::io::save_context;
+use spectragan_geo::ContextMap;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-fn run(cmd: fn(&Args) -> Result<(), String>, argv: &str) -> Result<(), String> {
+/// A subcommand entry point.
+type Cmd = fn(&Args) -> Result<(), String>;
+
+fn run(cmd: Cmd, argv: &str) -> Result<(), String> {
     let args = Args::parse(argv.split_whitespace().map(String::from)).expect("parse");
     cmd(&args)
 }
@@ -122,34 +130,6 @@ fn full_workflow_runs() {
         std::fs::read(&synth2).unwrap(),
         "SGWT generation bytes differ from JSON-model generation"
     );
-
-    // f16 export + half-precision generation still runs end to end.
-    let sgwt16 = tmp("model_f16.sgwt");
-    let synth16 = tmp("synth_f16.sgtm");
-    run(
-        cmd_export_weights,
-        &format!(
-            "export-weights --model {} --out {} --precision f16",
-            model.display(),
-            sgwt16.display()
-        ),
-    )
-    .unwrap();
-    assert!(
-        std::fs::metadata(&sgwt16).unwrap().len() < std::fs::metadata(&sgwt).unwrap().len(),
-        "f16 container must be smaller than f32"
-    );
-    run(
-        cmd_generate,
-        &format!(
-            "generate --model {} --context {} --hours 24 --out {} --seed 3",
-            sgwt16.display(),
-            data.join("city_1.sgcm").display(),
-            synth16.display()
-        ),
-    )
-    .unwrap();
-    assert!(synth16.exists());
 }
 
 #[test]
@@ -361,4 +341,212 @@ fn bad_inputs_give_clean_errors() {
     assert!(err.contains("granularity"), "{err}");
     let err = run(cmd_dataset, "dataset --out /tmp/sg_bad --country 9").unwrap_err();
     assert!(err.contains("country"), "{err}");
+}
+
+/// Runs the `spectragan` binary and returns `(succeeded, stderr)`.
+fn run_binary(argv: &[&str]) -> (bool, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_spectragan"))
+        .args(argv)
+        .output()
+        .expect("spawn spectragan");
+    (
+        out.status.success(),
+        String::from_utf8_lossy(&out.stderr).to_string(),
+    )
+}
+
+/// Every subcommand refuses a flag it does not read — a typo, one of
+/// the retired sharding and reduced-precision flags, or a fresh-run
+/// setting given to a resumed run — before doing any work: the paths
+/// below do not exist, and the error is about the flag, not about
+/// them.
+#[test]
+fn unknown_and_retired_flags_are_refused() {
+    let out = tmp("flags_model.json");
+    let _ = std::fs::remove_file(&out);
+    let cases: [(Cmd, String, &str, &[&str]); 7] = [
+        (
+            cmd_train,
+            format!(
+                "train --data /nonexistent --out {} --stepz 7 --shardz 4",
+                out.display()
+            ),
+            "train",
+            &["--shardz", "--stepz"],
+        ),
+        (
+            cmd_train,
+            format!(
+                "train --data /nonexistent --out {} --shards 4",
+                out.display()
+            ),
+            "train",
+            &["--shards"],
+        ),
+        (
+            cmd_train,
+            format!(
+                "train --data /nonexistent --out {} --kill-worker-at-step 3",
+                out.display()
+            ),
+            "train",
+            &["--kill-worker-at-step"],
+        ),
+        (
+            cmd_train,
+            format!(
+                "train --data /nonexistent --out {} --resume /nonexistent --lr 0.5 --seed 3",
+                out.display()
+            ),
+            "train --resume",
+            &["--lr", "--seed"],
+        ),
+        (
+            cmd_export_weights,
+            format!(
+                "export-weights --model /nonexistent --out {} --precision int8",
+                out.display()
+            ),
+            "export-weights",
+            &["--precision"],
+        ),
+        (
+            cmd_generate,
+            format!(
+                "generate --model /nonexistent --context /n --out {} --weights-precision f16",
+                out.display()
+            ),
+            "generate",
+            &["--weights-precision"],
+        ),
+        (
+            cmd_serve,
+            "serve --models /nonexistent --weights-precision int8".to_string(),
+            "serve",
+            &["--weights-precision"],
+        ),
+    ];
+    for (cmd, argv, command, flags) in cases {
+        let err = run(cmd, &argv).unwrap_err();
+        assert!(err.contains(&format!("'{command}'")), "{argv}: {err}");
+        for flag in flags {
+            assert!(err.contains(flag), "{argv}: {err}");
+        }
+        assert!(
+            !err.contains("/nonexistent"),
+            "{argv}: did work first: {err}"
+        );
+    }
+    assert!(!out.exists(), "a refused command wrote its output");
+
+    let (ok, stderr) = run_binary(&[
+        "export-weights",
+        "--model",
+        "/nonexistent",
+        "--out",
+        out.to_str().unwrap(),
+        "--precision",
+        "int8",
+    ]);
+    assert!(!ok, "export-weights --precision int8 must exit non-zero");
+    assert!(stderr.contains("--precision"), "{stderr}");
+    assert!(!out.exists());
+}
+
+/// `generate --hours 0` and a context map smaller than one patch are
+/// typed errors with a non-zero exit, not panics.
+#[test]
+fn invalid_generation_requests_are_errors() {
+    let model = tmp("invalid_req_model.json");
+    std::fs::write(
+        &model,
+        SpectraGan::new(SpectraGanConfig::tiny(), 7).to_model_json(),
+    )
+    .unwrap();
+    let channels = SpectraGanConfig::tiny().context_channels;
+    let fits = tmp("invalid_req_fits.sgcm");
+    save_context(&ContextMap::zeros(channels, 12, 12), &fits).unwrap();
+    let small = tmp("invalid_req_small.sgcm");
+    save_context(&ContextMap::zeros(channels, 3, 3), &small).unwrap();
+    let synth = tmp("invalid_req_synth.sgtm");
+    let _ = std::fs::remove_file(&synth);
+
+    for (context, hours, expect) in [
+        (&fits, 0, "t_out = 0"),
+        (&small, 24, "smaller than one 4-pixel patch"),
+    ] {
+        let argv = format!(
+            "generate --model {} --context {} --hours {hours} --out {}",
+            model.display(),
+            context.display(),
+            synth.display()
+        );
+        let err = run(cmd_generate, &argv).unwrap_err();
+        assert!(err.contains("invalid generation request"), "{err}");
+        assert!(err.contains(expect), "{err}");
+
+        let argv: Vec<&str> = argv.split_whitespace().collect();
+        let (ok, stderr) = run_binary(&argv);
+        assert!(!ok, "{argv:?} must exit non-zero");
+        assert!(stderr.contains(expect), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    assert!(!synth.exists());
+    run(
+        cmd_generate,
+        &format!(
+            "generate --model {} --context {} --hours 2 --out {}",
+            model.display(),
+            fits.display(),
+            synth.display()
+        ),
+    )
+    .unwrap();
+    assert!(synth.exists());
+}
+
+/// The f16 and int8 containers earlier releases wrote are refused by
+/// `generate` and `info` with a non-zero exit and a message naming the
+/// unsupported dtype or version.
+#[test]
+fn reduced_precision_containers_are_refused() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures");
+    let context = tmp("legacy_ctx.sgcm");
+    save_context(
+        &ContextMap::zeros(SpectraGanConfig::tiny().context_channels, 12, 12),
+        &context,
+    )
+    .unwrap();
+    let synth = tmp("legacy_synth.sgtm");
+    let _ = std::fs::remove_file(&synth);
+    for (name, expect) in [
+        ("tiny_seed7_f16_v1.sgwt", "unsupported dtype 1 (f16)"),
+        (
+            "tiny_seed7_int8_v2.sgwt",
+            "unsupported weight container version 2",
+        ),
+    ] {
+        let path = fixtures.join(name);
+        let path = path.to_str().unwrap();
+        for argv in [
+            vec![
+                "generate",
+                "--model",
+                path,
+                "--context",
+                context.to_str().unwrap(),
+                "--hours",
+                "24",
+                "--out",
+                synth.to_str().unwrap(),
+            ],
+            vec!["info", "--file", path],
+        ] {
+            let (ok, stderr) = run_binary(&argv);
+            assert!(!ok, "{argv:?} must exit non-zero");
+            assert!(stderr.contains(expect), "{argv:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{argv:?}: {stderr}");
+        }
+    }
+    assert!(!synth.exists());
 }

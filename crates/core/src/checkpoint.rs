@@ -91,31 +91,23 @@ pub struct Checkpoint {
     pub opt_d: AdamState,
     /// Loss traces up to `step`.
     pub stats: TrainStats,
-    /// Shard topology of the run that wrote this snapshot. Recorded
-    /// for observability only: sharding never changes the math, so a
-    /// resume may use any shard count.
-    pub shards: usize,
-    /// Gradient-accumulation micro-rounds per step. Unlike `shards`
-    /// this is part of the step arithmetic — the training loop rejects
-    /// resuming under a different value.
+    /// Gradient-accumulation micro-rounds per step. This is part of
+    /// the step arithmetic — the training loop rejects resuming under
+    /// a different value.
     pub grad_accum: usize,
 }
 
-// Manual Deserialize: `shards` and `grad_accum` arrived with sharded
-// training and default to 1 so every earlier snapshot still loads
-// (those runs *were* single-shard, single-minibatch — exactly what the
-// default says). The vendored serde derive has no per-field defaults.
+// Manual Deserialize: `grad_accum` defaults to 1 so snapshots written
+// before it existed still load (those runs *were* single-minibatch —
+// exactly what the default says), and a `shards` key, written by
+// releases that could fork worker processes, is ignored: sharding
+// never changed the math. The vendored serde derive has no per-field
+// defaults.
 impl serde::Deserialize for Checkpoint {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let req = |key: &str| -> Result<&serde::Value, serde::DeError> {
             v.get(key)
                 .ok_or_else(|| serde::DeError::expected("a checkpoint object", v))
-        };
-        let count = |key: &str| -> Result<usize, serde::DeError> {
-            match v.get(key) {
-                Some(n) => usize::from_value(n),
-                None => Ok(1),
-            }
         };
         Ok(Checkpoint {
             format: String::from_value(req("format")?)?,
@@ -126,8 +118,10 @@ impl serde::Deserialize for Checkpoint {
             opt_g: AdamState::from_value(req("opt_g")?)?,
             opt_d: AdamState::from_value(req("opt_d")?)?,
             stats: TrainStats::from_value(req("stats")?)?,
-            shards: count("shards")?,
-            grad_accum: count("grad_accum")?,
+            grad_accum: match v.get("grad_accum") {
+                Some(n) => usize::from_value(n)?,
+                None => 1,
+            },
         })
     }
 }
@@ -342,11 +336,8 @@ pub struct LogRecord {
     /// logs written before backends existed read back as `"scalar"`,
     /// which is what they ran.
     pub backend: String,
-    /// Shard count the step ran under; pre-sharding logs read back
-    /// as 1.
-    pub shards: usize,
-    /// Gradient-accumulation micro-rounds; pre-sharding logs read back
-    /// as 1.
+    /// Gradient-accumulation micro-rounds; logs written before it
+    /// existed read back as 1.
     pub grad_accum: usize,
     /// Divergence-guard annotation (`None` for a healthy step).
     pub event: Option<String>,
@@ -360,7 +351,8 @@ pub struct LogRecord {
 
 // Manual Deserialize: divergence events legitimately carry NaN/inf
 // losses, which JSON renders as `null` — map those back to NaN instead
-// of failing the whole record.
+// of failing the whole record. A `shards` key from older logs is
+// ignored.
 impl serde::Deserialize for LogRecord {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let num = |key: &str| -> Result<f64, serde::DeError> {
@@ -385,10 +377,6 @@ impl serde::Deserialize for LogRecord {
             backend: match v.get("backend") {
                 Some(serde::Value::Str(s)) => s.clone(),
                 _ => "scalar".to_string(),
-            },
-            shards: match v.get("shards") {
-                Some(n) => usize::from_value(n)?,
-                None => 1,
             },
             grad_accum: match v.get("grad_accum") {
                 Some(n) => usize::from_value(n)?,
@@ -489,7 +477,6 @@ mod tests {
             opt_g: AdamState::default(),
             opt_d: AdamState::default(),
             stats: TrainStats::default(),
-            shards: 1,
             grad_accum: 1,
         }
     }
@@ -621,7 +608,6 @@ mod tests {
                     grad_norm_g: 3.0,
                     wall_ms: 1.5,
                     backend: "scalar".to_string(),
-                    shards: 1,
                     grad_accum: 1,
                     event: if step == 2 {
                         Some("divergence: d_loss = NaN".into())
@@ -667,46 +653,53 @@ mod tests {
         assert!(log.iter().all(|r| r.step < 2));
     }
 
-    /// Log lines written before the sharding release carry no
-    /// `shards`/`grad_accum` keys; they must still deserialize, with
-    /// both defaulting to 1.
+    /// Log lines written before gradient accumulation carry no
+    /// `grad_accum` key and read back as 1; lines that carry the
+    /// `shards` key of releases with worker processes still parse, and
+    /// the key is ignored.
     #[test]
-    fn pre_sharding_log_lines_still_deserialize() {
+    fn older_log_lines_still_deserialize() {
         let old_line = r#"{"step":7,"d_loss":0.5,"g_adv":1.25,"l1":0.1,"grad_norm_d":2.0,
             "grad_norm_g":3.0,"wall_ms":1.5,"backend":"simd","event":null,
             "op_stats":null,"spans":null}"#;
         let r: LogRecord = serde_json::from_str(old_line).unwrap();
         assert_eq!(r.step, 7);
         assert_eq!(r.backend, "simd");
-        assert_eq!((r.shards, r.grad_accum), (1, 1));
-        // And a round-trip through the current writer preserves the
-        // explicit values.
-        let mut new = r.clone();
-        new.shards = 4;
-        new.grad_accum = 2;
-        let back: LogRecord = serde_json::from_str(&serde_json::to_string(&new).unwrap()).unwrap();
-        assert_eq!((back.shards, back.grad_accum), (4, 2));
+        assert_eq!(r.grad_accum, 1);
+        let sharded_line = r#"{"step":3,"d_loss":0.5,"g_adv":1.25,"l1":0.1,"grad_norm_d":2.0,
+            "grad_norm_g":3.0,"wall_ms":1.5,"backend":"scalar","shards":4,"grad_accum":2,
+            "event":null,"op_stats":null,"spans":null}"#;
+        let r: LogRecord = serde_json::from_str(sharded_line).unwrap();
+        assert_eq!((r.step, r.grad_accum), (3, 2));
+        // The current writer records no topology, and the explicit
+        // accumulation factor survives a round trip.
+        let line = serde_json::to_string(&r).unwrap();
+        assert!(!line.contains("shards"), "{line}");
+        let back: LogRecord = serde_json::from_str(&line).unwrap();
+        assert_eq!(back.grad_accum, 2);
     }
 
-    /// Checkpoints from pre-sharding runs (no `shards`/`grad_accum` in
-    /// the JSON) load with both fields defaulting to 1.
+    /// Checkpoints without `grad_accum` load with it defaulting to 1;
+    /// checkpoints that carry a `shards` key load, and the key is
+    /// ignored.
     #[test]
-    fn pre_sharding_checkpoints_still_load() {
+    fn older_checkpoints_still_load() {
         let ck = demo_checkpoint(2);
         let mut v = serde_json::to_value(&ck);
-        if let serde::Value::Obj(entries) = &mut v {
-            entries.retain(|(k, _)| k != "shards" && k != "grad_accum");
-        } else {
+        let serde::Value::Obj(entries) = &mut v else {
             panic!("checkpoint must serialize as an object");
-        }
+        };
+        assert!(entries.iter().all(|(k, _)| k != "shards"));
+        entries.retain(|(k, _)| k != "grad_accum");
         let old = Checkpoint::from_value(&v).unwrap();
-        assert_eq!((old.shards, old.grad_accum), (1, 1));
-        assert_eq!(old.step, 2);
-        // Explicit values survive a round-trip.
+        assert_eq!((old.step, old.grad_accum), (2, 1));
         let mut sharded = demo_checkpoint(4);
-        sharded.shards = 4;
         sharded.grad_accum = 3;
-        let rt = Checkpoint::from_value(&serde_json::to_value(&sharded)).unwrap();
-        assert_eq!((rt.shards, rt.grad_accum), (4, 3));
+        let mut v = serde_json::to_value(&sharded);
+        if let serde::Value::Obj(entries) = &mut v {
+            entries.push(("shards".to_string(), serde::Value::Num(4.0)));
+        }
+        let rt = Checkpoint::from_value(&v).unwrap();
+        assert_eq!((rt.step, rt.grad_accum), (4, 3));
     }
 }

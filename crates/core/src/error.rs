@@ -52,7 +52,8 @@ pub enum CoreError {
     Model(String),
     /// A checkpoint or run directory is unusable: missing, corrupt
     /// beyond recovery, or inconsistent with the requested
-    /// configuration.
+    /// configuration — or the requested training options describe a
+    /// step no run could take or resume (zero accumulation rounds).
     Checkpoint(String),
     /// Training diverged (NaN/inf loss or gradient blowup) and every
     /// RNG re-roll at that step diverged too — the run cannot make
@@ -65,11 +66,6 @@ pub enum CoreError {
         /// Human-readable description of the last failure.
         reason: String,
     },
-    /// Sharded training failed: a worker process could not be forked
-    /// or respawned, the gradient wire protocol was violated, or a
-    /// shard's replicated compute diverged bitwise from the
-    /// coordinator's.
-    Shard(String),
     /// Filesystem error, with the path for context.
     Io {
         /// The path being read or written.
@@ -114,7 +110,6 @@ impl fmt::Display for CoreError {
                      diverged too"
                 )
             }
-            CoreError::Shard(why) => write!(f, "sharded training error: {why}"),
             CoreError::Io { path, source } => {
                 write!(f, "{}: {source}", path.display())
             }
@@ -161,12 +156,6 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("step 17") && msg.contains("NaN"), "{msg}");
-        let e = CoreError::Shard("shard 2: worker closed its report pipe".into());
-        let msg = e.to_string();
-        assert!(
-            msg.contains("sharded training") && msg.contains("shard 2"),
-            "{msg}"
-        );
         let e = CoreError::io(
             "/tmp/x",
             std::io::Error::new(std::io::ErrorKind::NotFound, "gone"),

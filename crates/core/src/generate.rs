@@ -132,9 +132,9 @@ impl SpectraGan {
     ///
     /// # Panics
     /// Panics on an invalid request (`t_out == 0`, `gen_batch == 0`,
-    /// or a context that does not fit the model) — this is the
-    /// offline-CLI entry point. Server request paths must use
-    /// [`SpectraGan::try_generate_batched_report`], which returns
+    /// or a context that does not fit the model). Paths that take a
+    /// request from outside the program — the CLI and the server —
+    /// use [`SpectraGan::try_generate_batched_report`], which returns
     /// [`CoreError::InvalidRequest`] instead.
     pub fn generate_batched_report(
         &self,

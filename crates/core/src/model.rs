@@ -201,7 +201,7 @@ impl Generator {
             };
             let _sp = obs::span_cat("infer.rollout", "generate");
             let n_px = rows.shape().dim(0);
-            let xw = store.infer_matmul(&rows, lstm.wx_param());
+            let xw = rows.matmul(store.get(lstm.wx_param()));
             let mut xt = lstm.rollout_infer(store, &xw, head, t_out);
             if let Some(amp) = &self.amp_head {
                 let a = amp.forward_infer(store, &rows);

@@ -15,26 +15,23 @@
 //! offset 14  directory CRC-32 (IEEE), u32 LE    (4 bytes)
 //! offset 18  directory                          (≤ 16 MiB)
 //!            zero padding to a 64-byte boundary
-//!            layer sections, each 64-byte aligned, raw LE f32/f16
+//!            layer sections, each 64-byte aligned, raw LE f32
 //! ```
 //!
 //! The directory is, in order: `u32` config-JSON length + the config
 //! JSON (`{"format":"spectragan-weights-v1","config":{…}}`), `u32`
 //! layer count, then per layer `u32` name length + UTF-8 name, `u8`
-//! dtype (0 = f32, 1 = f16, 2 = int8), `u8` ndim, `ndim × u32` dims,
-//! `u64` absolute section offset, `u64` section byte count, `u32`
-//! section CRC-32. All integers little-endian.
+//! dtype (always 0 = f32), `u8` ndim, `ndim × u32` dims, `u64`
+//! absolute section offset, `u64` section byte count, `u32` section
+//! CRC-32. All integers little-endian.
 //!
-//! **Version 2** (written only by int8 exports; version-1 files are
-//! unchanged byte-for-byte and still load) appends to every layer
-//! entry a `u32` dequantization-scale count followed by that many f32
-//! LE scales. Int8 sections carry one scale per quantization row
-//! (the leading dimension for `ndim ≥ 2`, one for the whole tensor
-//! otherwise — see `spectragan_tensor::q8::scale_rows`); f32/f16
-//! sections carry zero. The scales live in the CRC-protected
-//! directory, and the parser additionally requires every scale to be
-//! finite and positive, so a corrupt scale is a typed load error —
-//! never a weight that silently dequantizes to NaN.
+//! Earlier releases also wrote f16 sections (dtype 1, version 1) and
+//! int8 containers (version 2, dtype 2 plus per-row scales in the
+//! directory). The whole `default_hourly` generator is about 72 KB
+//! resident as f32, so they saved tens of kilobytes per city while the
+//! dequantizing GEMM ran slower than the f32 one. Such files are now
+//! refused at [`WeightStore::open`] with a typed error naming the
+//! unsupported version or dtype; re-export them from the JSON model.
 //!
 //! Trust model mirrors the rest of `geo::io`: the directory length is
 //! capped *before* allocation ([`DIRECTORY_MAX_BYTES`]) and its CRC is
@@ -49,20 +46,15 @@
 //! On unix the container is `mmap(2)`-ed (`PROT_READ`, `MAP_PRIVATE`)
 //! so layer views are zero-copy pointers into the page cache;
 //! elsewhere (or if the syscall fails) it falls back to one buffered
-//! read. f32 sections become [`LazySource`]s (materialized on first
-//! touch, bit-identical to the JSON path), f16 sections become
-//! [`F16Slice`]s that the backends widen per call (halving resident
-//! weight bytes), and int8 sections become [`Q8Slice`]s that the
-//! dequantizing GEMM streams at 1 byte per element (~4× smaller
-//! resident) — each at a spectrally-gated fidelity cost.
+//! read. Sections become [`LazySource`]s, materialized on first touch
+//! and bit-identical to the JSON path.
 
 use crate::config::SpectraGanConfig;
 use crate::error::CoreError;
 use crate::train::SpectraGan;
 use spectragan_geo::io::{atomic_write, crc32, extend_f32_le, f32s_from_le};
-use spectragan_nn::{F16Slice, LazySource, Q8Buf, Q8Slice};
-use spectragan_tensor::f16::narrow_slice_le;
-use spectragan_tensor::{q8, Shape, Tensor};
+use spectragan_nn::LazySource;
+use spectragan_tensor::{Shape, Tensor};
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -71,15 +63,8 @@ use std::sync::{Arc, OnceLock};
 /// Magic bytes identifying a weight container.
 pub const WEIGHT_MAGIC: &[u8; 4] = b"SGWT";
 
-/// Container format version for f32/f16 payloads. Files written
-/// before int8 existed are version 1 and keep loading unchanged;
-/// f32/f16 exports still write version 1 so their output stays
-/// byte-identical across the int8 change.
+/// Container format version.
 pub const WEIGHT_VERSION: u16 = 1;
-
-/// Container format version carrying per-entry dequantization scales
-/// (written only by int8 exports).
-pub const WEIGHT_VERSION_Q8: u16 = 2;
 
 /// Every section starts on this alignment, so mapped f32 views sit on
 /// cache-line (and any future SIMD-load) boundaries.
@@ -97,61 +82,17 @@ const WEIGHTS_FORMAT: &str = "spectragan-weights-v1";
 /// magic + version + directory length + directory CRC.
 pub const WEIGHT_HEADER: usize = 18;
 
-/// Per-layer dtype tags in the directory. Public because external
-/// tooling (and the corruption test suites) walk the documented layout.
+/// The per-layer dtype tag of an f32 section, the only one this
+/// format version carries. Public because external tooling (and the
+/// corruption test suites) walk the documented layout.
 pub const DTYPE_F32: u8 = 0;
-/// IEEE 754 binary16 section, widened at load.
-pub const DTYPE_F16: u8 = 1;
-/// Symmetric int8 section; its directory entry carries one
-/// dequantization scale per quantization row (v2 containers only).
-pub const DTYPE_I8: u8 = 2;
 
-/// Storage precision of the tensor sections in a container.
+/// Storage precision of the tensor sections in a container: f32, whose
+/// loads are bit-identical to the JSON path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
-    /// 4 bytes per element; loads are bit-identical to the JSON path.
+    /// 4 bytes per element.
     F32,
-    /// 2 bytes per element (IEEE binary16, round-to-nearest-even);
-    /// inference-only, halves resident weight bytes.
-    F16,
-    /// 1 byte per element (symmetric absmax int8, per-row scales) for
-    /// matrices and conv kernels; vector parameters (biases) stay f32,
-    /// which costs a negligible fraction of the bytes and none of the
-    /// quantization error. Inference-only, ~4× smaller resident weight
-    /// bytes.
-    Int8,
-}
-
-impl Precision {
-    /// Parses a CLI-style name (`"f32"` / `"f16"` / `"int8"`).
-    pub fn parse(s: &str) -> Result<Precision, CoreError> {
-        match s {
-            "f32" => Ok(Precision::F32),
-            "f16" => Ok(Precision::F16),
-            "int8" => Ok(Precision::Int8),
-            other => Err(CoreError::Model(format!(
-                "unknown weights precision '{other}' (expected 'f32', 'f16' or 'int8')"
-            ))),
-        }
-    }
-
-    /// The CLI-style name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::F16 => "f16",
-            Precision::Int8 => "int8",
-        }
-    }
-}
-
-fn dtype_size(dtype: u8) -> usize {
-    match dtype {
-        DTYPE_F32 => 4,
-        DTYPE_F16 => 2,
-        DTYPE_I8 => 1,
-        _ => unreachable!("dtype validated at parse"),
-    }
 }
 
 fn align_up(x: usize) -> usize {
@@ -163,7 +104,7 @@ fn align_up(x: usize) -> usize {
 // ---------------------------------------------------------------------
 
 /// Serializes a model into the `SGWT` container format.
-pub fn encode_weights(model: &SpectraGan, precision: Precision) -> Vec<u8> {
+pub fn encode_weights(model: &SpectraGan) -> Vec<u8> {
     #[derive(serde::Serialize)]
     struct Header<'a> {
         format: &'static str,
@@ -175,70 +116,34 @@ pub fn encode_weights(model: &SpectraGan, precision: Precision) -> Vec<u8> {
     })
     .expect("config serialization cannot fail");
 
-    // Layer payloads first: names, shapes, dtype, raw section bytes
-    // and (int8 only) dequantization scales. Int8 quantizes matrices
-    // and conv kernels per leading-dimension row; rank-0/1 parameters
-    // (biases) stay f32 sections inside the same container — they are
-    // a negligible fraction of the bytes and quantizing them buys
-    // nothing.
+    // Layer payloads first: names, shapes and raw section bytes.
     struct Payload {
         name: String,
         dims: Vec<usize>,
-        dtype: u8,
         bytes: Vec<u8>,
-        scales: Vec<f32>,
     }
     let layers: Vec<Payload> = model
         .store()
         .iter()
         .map(|(_, name, t)| {
-            let (dtype, bytes, scales) = match precision {
-                Precision::F32 => {
-                    let mut b = Vec::with_capacity(4 * t.numel());
-                    extend_f32_le(&mut b, t.data());
-                    (DTYPE_F32, b, Vec::new())
-                }
-                Precision::F16 => (DTYPE_F16, narrow_slice_le(t.data()), Vec::new()),
-                Precision::Int8 if t.shape().ndim() >= 2 => {
-                    let q = q8::quantize_tensor(t.data(), t.shape());
-                    (DTYPE_I8, q.data, q.scales)
-                }
-                Precision::Int8 => {
-                    let mut b = Vec::with_capacity(4 * t.numel());
-                    extend_f32_le(&mut b, t.data());
-                    (DTYPE_F32, b, Vec::new())
-                }
-            };
+            let mut bytes = Vec::with_capacity(4 * t.numel());
+            extend_f32_le(&mut bytes, t.data());
             Payload {
                 name: name.to_string(),
                 dims: t.shape().dims().to_vec(),
-                dtype,
                 bytes,
-                scales,
             }
         })
         .collect();
-    let version = match precision {
-        Precision::Int8 => WEIGHT_VERSION_Q8,
-        _ => WEIGHT_VERSION,
-    };
 
-    // The directory's size is fixed by names, ranks and scale counts
-    // alone, so the section offsets it records can be computed before
-    // it is built.
+    // The directory's size is fixed by names and ranks alone, so the
+    // section offsets it records can be computed before it is built.
     let dir_len = 4
         + config_json.len()
         + 4
         + layers
             .iter()
-            .map(|l| {
-                let scale_field = if version >= WEIGHT_VERSION_Q8 {
-                    4 + 4 * l.scales.len()
-                } else {
-                    0
-                };
-                4 + l.name.len() + 1 + 1 + 4 * l.dims.len() + 8 + 8 + 4 + scale_field
-            })
+            .map(|l| 4 + l.name.len() + 1 + 1 + 4 * l.dims.len() + 8 + 8 + 4)
             .sum::<usize>();
     let mut offset = align_up(WEIGHT_HEADER + dir_len);
     let mut offsets = Vec::with_capacity(layers.len());
@@ -254,7 +159,7 @@ pub fn encode_weights(model: &SpectraGan, precision: Precision) -> Vec<u8> {
     for (l, &sec_off) in layers.iter().zip(&offsets) {
         dir.extend_from_slice(&(l.name.len() as u32).to_le_bytes());
         dir.extend_from_slice(l.name.as_bytes());
-        dir.push(l.dtype);
+        dir.push(DTYPE_F32);
         dir.push(l.dims.len() as u8);
         for &d in &l.dims {
             dir.extend_from_slice(&(u32::try_from(d).expect("dim fits u32")).to_le_bytes());
@@ -262,10 +167,6 @@ pub fn encode_weights(model: &SpectraGan, precision: Precision) -> Vec<u8> {
         dir.extend_from_slice(&(sec_off as u64).to_le_bytes());
         dir.extend_from_slice(&(l.bytes.len() as u64).to_le_bytes());
         dir.extend_from_slice(&crc32(&l.bytes).to_le_bytes());
-        if version >= WEIGHT_VERSION_Q8 {
-            dir.extend_from_slice(&(l.scales.len() as u32).to_le_bytes());
-            extend_f32_le(&mut dir, &l.scales);
-        }
     }
     debug_assert_eq!(dir.len(), dir_len);
 
@@ -277,7 +178,7 @@ pub fn encode_weights(model: &SpectraGan, precision: Precision) -> Vec<u8> {
         });
     let mut buf = vec![0u8; total];
     buf[..4].copy_from_slice(WEIGHT_MAGIC);
-    buf[4..6].copy_from_slice(&version.to_le_bytes());
+    buf[4..6].copy_from_slice(&WEIGHT_VERSION.to_le_bytes());
     buf[6..14].copy_from_slice(&(dir_len as u64).to_le_bytes());
     buf[14..18].copy_from_slice(&crc32(&dir).to_le_bytes());
     buf[18..18 + dir_len].copy_from_slice(&dir);
@@ -288,13 +189,14 @@ pub fn encode_weights(model: &SpectraGan, precision: Precision) -> Vec<u8> {
 }
 
 /// Encodes and atomically writes a model container to `path`.
+/// `Precision` has the one variant, f32.
 pub fn save_weights(
     model: &SpectraGan,
     path: impl AsRef<Path>,
-    precision: Precision,
+    _precision: Precision,
 ) -> Result<(), CoreError> {
     let path = path.as_ref();
-    atomic_write(path, &encode_weights(model, precision))
+    atomic_write(path, &encode_weights(model))
         .map_err(|e| CoreError::Model(format!("writing weight container {path:?}: {e}")))
 }
 
@@ -422,15 +324,10 @@ impl<'a> Cur<'a> {
 /// One layer's directory entry, validated against the file bounds.
 struct LayerEntry {
     name: String,
-    dtype: u8,
     shape: Shape,
     offset: usize,
     nbytes: usize,
     crc: u32,
-    /// Dequantization scales (int8 entries only; empty otherwise).
-    /// Validated at parse: count matches the shape's quantization
-    /// rows, every value finite and positive.
-    scales: Vec<f32>,
 }
 
 /// An opened `SGWT` container: parsed directory over mapped (or
@@ -471,10 +368,11 @@ impl WeightStore {
             )));
         }
         let version = u16::from_le_bytes(header[4..6].try_into().unwrap());
-        if version != WEIGHT_VERSION && version != WEIGHT_VERSION_Q8 {
+        if version != WEIGHT_VERSION {
+            let held = if version == 2 { " (int8)" } else { "" };
             return Err(CoreError::Model(format!(
-                "unsupported weight container version {version} (expected {WEIGHT_VERSION} \
-                 or {WEIGHT_VERSION_Q8})"
+                "unsupported weight container version {version}{held}; only version \
+                 {WEIGHT_VERSION} (f32) containers load — re-export the model from its JSON file"
             )));
         }
         let dir_len64 = u64::from_le_bytes(header[6..14].try_into().unwrap());
@@ -520,7 +418,7 @@ impl WeightStore {
             )));
         }
 
-        let (config, layers) = parse_directory(dir, file_len, version)?;
+        let (config, layers) = parse_directory(dir, file_len)?;
         Ok(WeightStore {
             backing: Arc::new(backing),
             config,
@@ -556,20 +454,6 @@ impl WeightStore {
         self.layers.iter().map(|l| l.nbytes).sum()
     }
 
-    /// The storage precision: [`Precision::Int8`] if any section is
-    /// int8 (int8 containers mix in f32 bias sections), else
-    /// [`Precision::F16`] if any section is f16, else
-    /// [`Precision::F32`].
-    pub fn precision(&self) -> Precision {
-        if self.layers.iter().any(|l| l.dtype == DTYPE_I8) {
-            Precision::Int8
-        } else if self.layers.iter().any(|l| l.dtype == DTYPE_F16) {
-            Precision::F16
-        } else {
-            Precision::F32
-        }
-    }
-
     /// Verifies every section's CRC now, returning a typed error
     /// instead of leaving mismatches to panic on first touch. Serving
     /// front-ends call this at registration so a corrupt container is
@@ -590,10 +474,9 @@ impl WeightStore {
     }
 
     /// Builds a model over this container: architecture from the
-    /// embedded config, every parameter backed by its section — f32
-    /// sections lazily materialized on first touch, f16 sections
-    /// widened per use. Validates layer count, names and shapes
-    /// against the freshly built architecture.
+    /// embedded config, every parameter backed by its section and
+    /// materialized on first touch. Validates layer count, names and
+    /// shapes against the freshly built architecture.
     pub fn load_model(&self) -> Result<SpectraGan, CoreError> {
         let mut model = SpectraGan::new(self.config, 0);
         if model.store().len() != self.layers.len() {
@@ -631,25 +514,13 @@ impl WeightStore {
                 name: entry.name.clone(),
                 checked: OnceLock::new(),
             };
-            match entry.dtype {
-                DTYPE_F32 => model.store_mut().demote_to_lazy(
-                    *id,
-                    Arc::new(F32Section {
-                        sec,
-                        shape: shape.clone(),
-                    }),
-                ),
-                DTYPE_I8 => model.store_mut().demote_to_int8(
-                    *id,
-                    Arc::new(Q8Section {
-                        sec,
-                        scales: entry.scales.clone(),
-                    }),
-                ),
-                _ => model
-                    .store_mut()
-                    .demote_to_half(*id, Arc::new(F16Section(sec))),
-            }
+            model.store_mut().demote_to_lazy(
+                *id,
+                Arc::new(F32Section {
+                    sec,
+                    shape: shape.clone(),
+                }),
+            );
         }
         Ok(model)
     }
@@ -674,7 +545,6 @@ fn read_all(file: &mut File, path: &Path, file_len: usize) -> Result<Vec<u8>, Co
 fn parse_directory(
     dir: &[u8],
     file_len: usize,
-    version: u16,
 ) -> Result<(SpectraGanConfig, Vec<LayerEntry>), CoreError> {
     #[derive(serde::Deserialize)]
     struct Header {
@@ -705,16 +575,15 @@ fn parse_directory(
             .map_err(|_| CoreError::Model(format!("layer {i} name is not UTF-8")))?
             .to_string();
         let dtype = cur.u8("dtype")?;
-        let dtype_ok = match dtype {
-            DTYPE_F32 | DTYPE_F16 => true,
-            // Int8 sections need scales, which only version ≥ 2
-            // entries carry.
-            DTYPE_I8 => version >= WEIGHT_VERSION_Q8,
-            _ => false,
-        };
-        if !dtype_ok {
+        if dtype != DTYPE_F32 {
+            let held = match dtype {
+                1 => " (f16)",
+                2 => " (int8)",
+                _ => "",
+            };
             return Err(CoreError::Model(format!(
-                "layer '{name}' has unknown dtype {dtype} for container version {version}"
+                "layer '{name}' has unsupported dtype {dtype}{held}; only f32 (dtype \
+                 {DTYPE_F32}) sections load — re-export the model from its JSON file"
             )));
         }
         let ndim = cur.u8("ndim")? as usize;
@@ -730,7 +599,7 @@ fn parse_directory(
         let nbytes64 = cur.u64("section length")?;
         let crc = cur.u32("section CRC")?;
         let expected = numel
-            .checked_mul(dtype_size(dtype))
+            .checked_mul(4)
             .ok_or_else(|| CoreError::Model(format!("layer '{name}' byte count overflows")))?;
         if nbytes64 != expected as u64 {
             return Err(CoreError::Model(format!(
@@ -752,42 +621,12 @@ fn parse_directory(
                  container"
             )));
         }
-        let shape = Shape(dims);
-        let mut scales = Vec::new();
-        if version >= WEIGHT_VERSION_Q8 {
-            let count = cur.u32("scale count")? as usize;
-            // The expected count is fixed by dtype and shape, so a
-            // forged count is rejected before any allocation sized by
-            // it.
-            let expected_scales = if dtype == DTYPE_I8 {
-                q8::scale_rows(&shape)
-            } else {
-                0
-            };
-            if count != expected_scales {
-                return Err(CoreError::Model(format!(
-                    "layer '{name}' carries {count} dequantization scales, shape {:?} \
-                     needs {expected_scales}",
-                    shape.dims()
-                )));
-            }
-            let scale_bytes = cur.take(4 * count, "dequantization scales")?;
-            scales = f32s_from_le(scale_bytes);
-            if let Some(bad) = scales.iter().find(|s| !s.is_finite() || **s <= 0.0) {
-                return Err(CoreError::Model(format!(
-                    "layer '{name}' has a non-finite or non-positive dequantization scale \
-                     ({bad}); the container is corrupt"
-                )));
-            }
-        }
         layers.push(LayerEntry {
             name,
-            dtype,
-            shape,
+            shape: Shape(dims),
             offset: offset64 as usize,
             nbytes: nbytes64 as usize,
             crc,
-            scales,
         });
     }
     if cur.pos != dir.len() {
@@ -831,20 +670,6 @@ impl Section {
     }
 }
 
-/// f16 section: the store widens it per use; resident cost stays at
-/// the mapped 2 bytes/element.
-struct F16Section(Section);
-
-impl F16Slice for F16Section {
-    fn bytes(&self) -> &[u8] {
-        self.0.bytes()
-    }
-
-    fn byte_len(&self) -> usize {
-        self.0.len
-    }
-}
-
 /// f32 section: materialized into a dense tensor on first touch.
 struct F32Section {
     sec: Section,
@@ -857,70 +682,9 @@ impl LazySource for F32Section {
     }
 }
 
-/// int8 section: the mapped quantized payload stays resident at 1
-/// byte per element; the scales (parsed out of the CRC-protected
-/// directory) ride alongside. The store dequantizes per use, or
-/// streams the section through the dequantizing GEMM without ever
-/// widening it whole.
-struct Q8Section {
-    sec: Section,
-    scales: Vec<f32>,
-}
-
-impl Q8Slice for Q8Section {
-    fn bytes(&self) -> &[u8] {
-        self.sec.bytes()
-    }
-
-    fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    fn byte_len(&self) -> usize {
-        self.sec.len
-    }
-}
-
 // ---------------------------------------------------------------------
 // Model-level helpers
 // ---------------------------------------------------------------------
-
-/// Narrows every parameter of an in-memory model to f16 storage
-/// (round-to-nearest-even), regardless of how the model was loaded.
-/// Inference-only from then on: training accessors panic.
-pub fn narrow_to_f16(model: &mut SpectraGan) {
-    let ids: Vec<_> = model.store().ids().collect();
-    for id in ids {
-        let bytes = narrow_slice_le(model.store().weight(id).data());
-        model.store_mut().demote_to_half(id, Arc::new(bytes));
-    }
-}
-
-/// Quantizes every matrix/kernel parameter (`ndim ≥ 2`) of an
-/// in-memory model to symmetric-int8 storage, the same policy as an
-/// int8 container export (vector parameters stay f32). Inference-only
-/// from then on: training accessors panic on the quantized slots.
-/// Produces bit-identical generation to loading an int8 container
-/// exported from the same model.
-pub fn narrow_to_int8(model: &mut SpectraGan) {
-    let ids: Vec<_> = model.store().ids().collect();
-    for id in ids {
-        if model.store().shape(id).ndim() < 2 {
-            continue;
-        }
-        let q = {
-            let w = model.store().weight(id);
-            q8::quantize_tensor(w.data(), w.shape())
-        };
-        model.store_mut().demote_to_int8(
-            id,
-            Arc::new(Q8Buf {
-                data: q.data,
-                scales: q.scales,
-            }),
-        );
-    }
-}
 
 /// Loads a model file of either format, sniffed by magic: `SGWT`
 /// containers open via [`WeightStore`], anything else parses as the
@@ -970,7 +734,6 @@ mod tests {
 
         let store = WeightStore::open(&path).unwrap();
         store.validate_all().unwrap();
-        assert_eq!(store.precision(), Precision::F32);
         let loaded = store.load_model().unwrap();
 
         assert_eq!(model.store().len(), loaded.store().len());
@@ -980,21 +743,6 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "bits of '{name}'");
             }
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn f16_halves_resident_weight_bytes() {
-        let model = SpectraGan::new(tiny_config(), 7);
-        let f32_resident = model.store().resident_weight_bytes();
-
-        let path = tmp("half.sgwt");
-        save_weights(&model, &path, Precision::F16).unwrap();
-        let store = WeightStore::open(&path).unwrap();
-        assert_eq!(store.precision(), Precision::F16);
-        let loaded = store.load_model().unwrap();
-        assert!(loaded.store().has_half_storage());
-        assert_eq!(loaded.store().resident_weight_bytes() * 2, f32_resident);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1016,7 +764,7 @@ mod tests {
     #[test]
     fn forged_directory_length_is_rejected_before_allocation() {
         let model = SpectraGan::new(tiny_config(), 7);
-        let mut bytes = encode_weights(&model, Precision::F32);
+        let mut bytes = encode_weights(&model);
         bytes[6..14].copy_from_slice(&(1u64 << 60).to_le_bytes());
         let path = tmp("forged.sgwt");
         std::fs::write(&path, &bytes).unwrap();
@@ -1028,7 +776,7 @@ mod tests {
     #[test]
     fn corrupt_directory_and_sections_are_typed_errors() {
         let model = SpectraGan::new(tiny_config(), 7);
-        let clean = encode_weights(&model, Precision::F32);
+        let clean = encode_weights(&model);
 
         // Flip a directory byte: caught at open by the directory CRC.
         let mut bad_dir = clean.clone();
@@ -1085,120 +833,19 @@ mod tests {
     }
 
     #[test]
-    fn int8_roundtrip_shrinks_resident_bytes_at_least_3_5x() {
-        // The paper-scale config, not `tiny()`: the reduction floor is
-        // a statement about real models, where matrices dominate and
-        // the f32 biases kept inside int8 containers are noise. The
-        // deliberately narrow tiny config sits just below 3.5x.
-        let model = SpectraGan::new(SpectraGanConfig::default_hourly(), 7);
-        let f32_resident = model.store().resident_weight_bytes();
-
-        let path = tmp("int8.sgwt");
-        save_weights(&model, &path, Precision::Int8).unwrap();
-        let store = WeightStore::open(&path).unwrap();
-        store.validate_all().unwrap();
-        assert_eq!(store.precision(), Precision::Int8);
-        let loaded = store.load_model().unwrap();
-        assert!(loaded.store().has_int8_storage());
-        // Touch everything so lazy f32 bias sections are counted too.
-        for id in loaded.store().ids().collect::<Vec<_>>() {
-            let w = loaded.store().weight(id);
-            assert!(w.data().iter().all(|v| v.is_finite()));
-        }
-        let resident = loaded.store().resident_weight_bytes();
-        let reduction = f32_resident as f64 / resident as f64;
-        assert!(
-            reduction >= 3.5,
-            "int8 resident reduction {reduction:.2}x below gate (f32 {f32_resident}, \
-             int8 {resident})"
-        );
-        std::fs::remove_file(&path).ok();
+    fn containers_are_version_1() {
+        let bytes = encode_weights(&SpectraGan::new(tiny_config(), 7));
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), WEIGHT_VERSION);
     }
 
     #[test]
-    fn container_versions_are_1_for_float_and_2_for_int8() {
+    fn container_truncation_is_always_a_typed_error() {
         let model = SpectraGan::new(tiny_config(), 7);
-        for (precision, version) in [
-            (Precision::F32, WEIGHT_VERSION),
-            (Precision::F16, WEIGHT_VERSION),
-            (Precision::Int8, WEIGHT_VERSION_Q8),
-        ] {
-            let bytes = encode_weights(&model, precision);
-            let got = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-            assert_eq!(got, version, "{} container version", precision.name());
-        }
-    }
-
-    /// Walks an int8 container's directory and returns the absolute
-    /// offsets of the first DTYPE_I8 entry's scale-count field and of
-    /// its first scale.
-    fn first_int8_scale_offsets(bytes: &[u8]) -> (usize, usize) {
-        let dir_len = u64::from_le_bytes(bytes[6..14].try_into().unwrap()) as usize;
-        let d = &bytes[WEIGHT_HEADER..WEIGHT_HEADER + dir_len];
-        let rd = |p: usize| u32::from_le_bytes(d[p..p + 4].try_into().unwrap()) as usize;
-        let mut pos = 0usize;
-        pos += 4 + rd(pos); // config
-        let n_layers = rd(pos);
-        pos += 4;
-        for _ in 0..n_layers {
-            pos += 4 + rd(pos); // name
-            let dtype = d[pos];
-            let ndim = d[pos + 1] as usize;
-            pos += 2 + 4 * ndim + 8 + 8 + 4;
-            let count = rd(pos);
-            if dtype == DTYPE_I8 && count > 0 {
-                return (WEIGHT_HEADER + pos, WEIGHT_HEADER + pos + 4);
-            }
-            pos += 4 + 4 * count;
-        }
-        panic!("int8 container has no scaled entry");
-    }
-
-    fn reseal_directory(bytes: &mut [u8]) {
-        let dir_len = u64::from_le_bytes(bytes[6..14].try_into().unwrap()) as usize;
-        let crc = crc32(&bytes[WEIGHT_HEADER..WEIGHT_HEADER + dir_len]);
-        bytes[14..18].copy_from_slice(&crc.to_le_bytes());
-    }
-
-    #[test]
-    fn non_finite_scale_is_a_typed_load_error() {
-        let model = SpectraGan::new(tiny_config(), 7);
-        let clean = encode_weights(&model, Precision::Int8);
-        let (_, scale_at) = first_int8_scale_offsets(&clean);
-        let path = tmp("nanscale.sgwt");
-
-        for bad in [f32::NAN, f32::NEG_INFINITY, 0.0, -1.0] {
-            let mut forged = clean.clone();
-            forged[scale_at..scale_at + 4].copy_from_slice(&bad.to_le_bytes());
-            reseal_directory(&mut forged);
-            std::fs::write(&path, &forged).unwrap();
-            let err = WeightStore::open(&path).unwrap_err();
-            assert!(
-                err.to_string().contains("non-finite or non-positive"),
-                "scale {bad}: unexpected error: {err}"
-            );
-        }
-
-        // Without resealing, the blind flip is already caught by the
-        // directory CRC.
-        let mut flipped = clean.clone();
-        flipped[scale_at] ^= 0x80;
-        std::fs::write(&path, &flipped).unwrap();
-        assert!(WeightStore::open(&path)
-            .unwrap_err()
-            .to_string()
-            .contains("CRC"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn int8_container_truncation_is_always_a_typed_error() {
-        let model = SpectraGan::new(tiny_config(), 7);
-        let clean = encode_weights(&model, Precision::Int8);
-        let path = tmp("trunc-int8.sgwt");
-        // Every prefix through the header and directory (where the
-        // scale fields live), then sampled prefixes through the
-        // sections — all must fail typed, never panic.
+        let clean = encode_weights(&model);
+        let path = tmp("trunc.sgwt");
+        // Every prefix through the header and directory, then sampled
+        // prefixes through the sections — all must fail typed, never
+        // panic.
         let dir_len = u64::from_le_bytes(clean[6..14].try_into().unwrap()) as usize;
         let dense_end = (WEIGHT_HEADER + dir_len).min(clean.len());
         let cuts = (0..dense_end).chain((dense_end..clean.len()).step_by(97));
@@ -1211,58 +858,6 @@ mod tests {
         }
         std::fs::write(&path, &clean).unwrap();
         WeightStore::open(&path).unwrap().validate_all().unwrap();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn forged_scale_count_is_rejected_before_allocation() {
-        let model = SpectraGan::new(tiny_config(), 7);
-        let mut forged = encode_weights(&model, Precision::Int8);
-        let (count_at, _) = first_int8_scale_offsets(&forged);
-        forged[count_at..count_at + 4].copy_from_slice(&(1u32 << 30).to_le_bytes());
-        reseal_directory(&mut forged);
-        let path = tmp("scalecount.sgwt");
-        std::fs::write(&path, &forged).unwrap();
-        let err = WeightStore::open(&path).unwrap_err();
-        assert!(
-            err.to_string().contains("dequantization scales"),
-            "unexpected error: {err}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn narrow_in_memory_matches_container_int8() {
-        let mut a = SpectraGan::new(tiny_config(), 7);
-        let path = tmp("narrow-int8.sgwt");
-        save_weights(&a, &path, Precision::Int8).unwrap();
-        let b = WeightStore::open(&path).unwrap().load_model().unwrap();
-        narrow_to_int8(&mut a);
-        assert!(a.store().has_int8_storage());
-        for id in a.store().ids().collect::<Vec<_>>() {
-            let wa = a.store().weight(id);
-            let wb = b.store().weight(id);
-            for (x, y) in wa.data().iter().zip(wb.data()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn narrow_in_memory_matches_container_f16() {
-        let mut a = SpectraGan::new(tiny_config(), 7);
-        let path = tmp("narrow.sgwt");
-        save_weights(&a, &path, Precision::F16).unwrap();
-        let b = WeightStore::open(&path).unwrap().load_model().unwrap();
-        narrow_to_f16(&mut a);
-        for id in a.store().ids().collect::<Vec<_>>() {
-            let wa = a.store().weight(id);
-            let wb = b.store().weight(id);
-            for (x, y) in wa.data().iter().zip(wb.data()) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
         std::fs::remove_file(&path).ok();
     }
 }

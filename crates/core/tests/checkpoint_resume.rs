@@ -10,6 +10,11 @@
 //! * **Divergence guard** — NaN weights or a tiny gradient-norm budget
 //!   trip the guard, log events, and fail with a typed error after the
 //!   RNG re-rolls are exhausted; healthy runs log zero events.
+//! * **Gradient accumulation** — `K` micro-rounds give the same bits at
+//!   any thread count, change the update, and are part of what a
+//!   resume must match.
+//! * **Older snapshots** — a checkpoint carrying the `shards` key of
+//!   releases that forked worker processes resumes bit-identically.
 
 use spectragan_core::{
     checkpoint, CoreError, SpectraGan, SpectraGanConfig, TrainConfig, TrainOptions, Variant,
@@ -332,4 +337,131 @@ fn resume_rejects_mismatched_configuration() {
         )
         .expect_err("seed mismatch must be rejected");
     assert!(matches!(err, CoreError::Checkpoint(_)), "{err}");
+}
+
+/// Trains [`STEPS`] steps at `threads` pool threads with `grad_accum`
+/// micro-rounds per step on two cities and returns the weight bits.
+fn accumulated_run(threads: usize, grad_accum: usize) -> Vec<u32> {
+    pool::set_threads(Some(threads));
+    let cities = [tiny_city(3), tiny_city(8)];
+    let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
+    let opts = TrainOptions {
+        grad_accum,
+        ..TrainOptions::default()
+    };
+    model.train_with(&cities, &tc(), &opts).expect("training");
+    pool::set_threads(None);
+    weight_bits(&model)
+}
+
+/// Gradient accumulation: deterministic, thread-invariant, and a real
+/// change to the arithmetic (K=2 is not K=1).
+#[test]
+fn grad_accum_is_deterministic_and_thread_invariant() {
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let k2_t1 = accumulated_run(1, 2);
+    let k2_t4 = accumulated_run(4, 2);
+    assert_eq!(k2_t1, k2_t4, "grad_accum=2 threads 1 vs 4");
+    assert_ne!(
+        k2_t1,
+        accumulated_run(1, 1),
+        "grad_accum=2 must actually change the update (different minibatch average)"
+    );
+}
+
+/// Resuming under a different accumulation factor is refused — K is
+/// part of the step arithmetic.
+#[test]
+fn resume_with_different_grad_accum_is_refused() {
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("accum_refuse");
+    pool::set_threads(Some(1));
+    let cities = [tiny_city(3)];
+    let mut model = SpectraGan::new(SpectraGanConfig::tiny(), 0);
+    let mut tc2 = tc();
+    tc2.steps = 2;
+    let opts = TrainOptions {
+        run_dir: Some(&dir),
+        grad_accum: 2,
+        ..TrainOptions::default()
+    };
+    model.train_with(&cities, &tc2, &opts).expect("train");
+    let found = checkpoint::latest(&dir).expect("latest").expect("some");
+    assert_eq!(found.checkpoint.grad_accum, 2);
+    let mut resumed = SpectraGan::from_checkpoint(&found.checkpoint).expect("rebuild");
+    let opts = TrainOptions {
+        resume_from: Some(&found.checkpoint),
+        grad_accum: 1,
+        ..TrainOptions::default()
+    };
+    let err = resumed
+        .train_with(&cities, &tc(), &opts)
+        .expect_err("must refuse");
+    assert!(err.to_string().contains("grad_accum"), "{err}");
+    // Zero micro-rounds is refused up front, with the same typed error.
+    let err = resumed
+        .train_with(
+            &cities,
+            &tc(),
+            &TrainOptions {
+                grad_accum: 0,
+                ..TrainOptions::default()
+            },
+        )
+        .expect_err("zero micro-rounds must be refused");
+    assert!(
+        matches!(err, CoreError::Checkpoint(ref m) if m.contains("grad_accum")),
+        "{err}"
+    );
+    pool::set_threads(None);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot whose JSON carries `"shards": 4`, as releases that forked
+/// worker processes wrote it, still loads, and resuming from it ends
+/// bit-identical to an uninterrupted run.
+#[test]
+fn resume_from_a_checkpoint_carrying_shards_is_bit_identical() {
+    use spectragan_geo::io::{decode_checked, encode_checked};
+
+    let cities = [tiny_city(3)];
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    pool::set_threads(Some(1));
+    let mut reference = SpectraGan::new(SpectraGanConfig::tiny(), 0);
+    reference
+        .train_with(&cities, &tc(), &TrainOptions::default())
+        .unwrap();
+    let reference = weight_bits(&reference);
+
+    let dir = tmp_dir("shards_key");
+    run_until(&cities, &dir, 4);
+    let path = checkpoint::latest(&dir)
+        .unwrap()
+        .expect("a checkpoint")
+        .path;
+    let framed = std::fs::read(&path).unwrap();
+    let json = decode_checked(checkpoint::CHECKPOINT_MAGIC, &framed).unwrap();
+    let mut value: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(json).unwrap()).unwrap();
+    let serde_json::Value::Obj(entries) = &mut value else {
+        panic!("a checkpoint is a JSON object");
+    };
+    assert!(
+        entries.iter().all(|(k, _)| k != "shards"),
+        "no topology written"
+    );
+    let at = entries.iter().position(|(k, _)| k == "grad_accum").unwrap();
+    entries.insert(at, ("shards".to_string(), serde_json::Value::Num(4.0)));
+    let forged = serde_json::to_string(&value).unwrap();
+    assert!(forged.contains("\"shards\":4"), "{forged}");
+    std::fs::write(
+        &path,
+        encode_checked(checkpoint::CHECKPOINT_MAGIC, forged.as_bytes()),
+    )
+    .unwrap();
+
+    let resumed = resume_to_end(&cities, &dir);
+    pool::set_threads(None);
+    assert_eq!(resumed, reference, "resume from a sharded-era snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
 }

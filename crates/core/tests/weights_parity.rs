@@ -1,22 +1,19 @@
-//! End-to-end parity gates for the `SGWT` weight container — the
-//! precision × backend matrix that gates every storage dtype:
+//! End-to-end gates for the `SGWT` weight container:
 //!
-//! * **f32 containers are invisible.** Generation from a model loaded
-//!   out of an f32 `SGWT` container is bit-identical to generation
-//!   from the same model loaded out of the JSON model file — the
-//!   container is a storage change, never a numerics change. Checked
-//!   per backend, for both the offline map and the streamed bands a
-//!   server forwards as SGBD chunks.
-//! * **f16 and int8 containers are spectrally faithful.** Reduced
-//!   precision may perturb individual values, but the
-//!   *distributional* quality the paper measures (marginal EMD/TV,
-//!   autocorrelation) must stay within a small ε of the f32 output on
-//!   the same context and seed — again per backend, and the streamed
-//!   bands must be bit-identical to the offline map so the served
-//!   bytes inherit the same gate.
+//! * **Containers are invisible.** Generation from a model loaded out
+//!   of an `SGWT` container is bit-identical to generation from the
+//!   same model loaded out of the JSON model file — the container is a
+//!   storage change, never a numerics change. Checked per backend, for
+//!   both the offline map and the streamed bands a server forwards as
+//!   SGBD chunks.
+//! * **Reduced-precision containers are refused.** The f16 (version 1,
+//!   dtype 1) and int8 (version 2) containers earlier releases wrote
+//!   fail to open with a typed error naming the dtype or version. The
+//!   fixtures under `tests/fixtures/` are those releases' encodings of
+//!   `SpectraGan::new(SpectraGanConfig::tiny(), 7)`.
 
 use spectragan_core::weights::{self, Precision, WeightStore};
-use spectragan_core::{PreparedContext, SpectraGan, SpectraGanConfig};
+use spectragan_core::{CoreError, PreparedContext, SpectraGan, SpectraGanConfig};
 use spectragan_geo::TrafficMap;
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
 use spectragan_tensor::{set_backend, BackendKind};
@@ -50,57 +47,6 @@ fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("spectragan-weights-parity");
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(format!("{}-{name}", std::process::id()))
-}
-
-/// Spectral-ε gate thresholds for one storage precision.
-struct Gates {
-    emd: f64,
-    tv: f64,
-    ac: f64,
-    /// Mean absolute pointwise error as a fraction of mean traffic.
-    mean_rel: f64,
-}
-
-/// f16 barely moves the output; the gates are tight.
-const F16_GATES: Gates = Gates {
-    emd: 5e-2,
-    tv: 1e-1,
-    ac: 5e-2,
-    mean_rel: 1e-2,
-};
-
-/// int8 carries ~2^7 levels per row instead of ~2^11 mantissa bits, so
-/// its distributional drift is allowed to be larger; measured values on
-/// the tiny model sit well under half of these.
-const INT8_GATES: Gates = Gates {
-    emd: 1e-1,
-    tv: 2e-1,
-    ac: 1e-1,
-    mean_rel: 5e-2,
-};
-
-fn assert_spectral(reference: &TrafficMap, got: &TrafficMap, g: &Gates, what: &str) {
-    let emd = spectragan_metrics::m_emd(reference, got);
-    let tv = spectragan_metrics::m_tv(reference, got);
-    let ac = spectragan_metrics::ac_l1(reference, got, 12);
-    eprintln!("{what}: m_EMD {emd:.2e}  m_TV {tv:.2e}  AC-L1 {ac:.2e}");
-    assert!(emd < g.emd, "{what}: m_EMD {emd} above the parity gate");
-    assert!(tv < g.tv, "{what}: m_TV {tv} above the parity gate");
-    assert!(ac < g.ac, "{what}: AC-L1 {ac} above the parity gate");
-
-    let mean_ref: f64 =
-        reference.data().iter().map(|&v| v as f64).sum::<f64>() / reference.data().len() as f64;
-    let mean_err: f64 = reference
-        .data()
-        .iter()
-        .zip(got.data())
-        .map(|(&a, &b)| (a as f64 - b as f64).abs())
-        .sum::<f64>()
-        / reference.data().len() as f64;
-    assert!(
-        mean_err <= g.mean_rel * mean_ref.max(1e-6),
-        "{what}: mean abs error {mean_err} vs mean traffic {mean_ref}"
-    );
 }
 
 /// Generates via the band-streaming path (the bytes a server chunks
@@ -163,47 +109,37 @@ fn sgwt_f32_generation_is_bit_identical_to_json_path() {
     std::fs::remove_file(&sgwt_path).ok();
 }
 
-/// The reduced-precision matrix: {f16, int8} × {Scalar, Simd}, each
-/// checked offline *and* through the band-streaming path.
+/// The f16 and int8 containers earlier releases wrote, with the text
+/// their refusal must carry.
+const LEGACY_CONTAINERS: [(&str, &str); 2] = [
+    ("tiny_seed7_f16_v1.sgwt", "unsupported dtype 1 (f16)"),
+    (
+        "tiny_seed7_int8_v2.sgwt",
+        "unsupported weight container version 2",
+    ),
+];
+
+fn fixture(name: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name)
+}
+
 #[test]
-fn reduced_precision_generation_stays_within_spectral_epsilon() {
-    let _g = lock();
-    let model = SpectraGan::new(SpectraGanConfig::tiny(), 11);
-    let city = tiny_city(5);
-
-    for kind in [BackendKind::Scalar, BackendKind::Simd] {
-        set_backend(Some(kind));
-        let reference = model.generate(&city.context, 48, 7);
-
-        for (precision, gates) in [(Precision::F16, &F16_GATES), (Precision::Int8, &INT8_GATES)] {
-            let what = format!("{}/{kind:?}", precision.name());
-            let path = tmp(&format!("epsilon-{}.sgwt", precision.name()));
-            weights::save_weights(&model, &path, precision).unwrap();
-            let store = WeightStore::open(&path).unwrap();
-            store.validate_all().unwrap();
-            assert_eq!(store.precision(), precision);
-            let loaded = store.load_model().unwrap();
-            match precision {
-                Precision::F16 => assert!(loaded.store().has_half_storage()),
-                Precision::Int8 => assert!(loaded.store().has_int8_storage()),
-                Precision::F32 => unreachable!(),
-            }
-
-            // Offline generation against the f32 reference.
-            let offline = loaded.generate(&city.context, 48, 7);
-            assert_spectral(&reference, &offline, gates, &what);
-
-            // Served bytes: the streamed bands must be bit-identical
-            // to the offline map, so they inherit the gate above.
-            let streamed = generate_streamed(&loaded, &city, 48);
-            assert_eq!(
-                bits(&offline),
-                bits(&streamed),
-                "{what}: streamed bands diverged from offline generation"
-            );
-
-            std::fs::remove_file(&path).ok();
+fn reduced_precision_containers_are_refused_with_a_typed_error() {
+    for (name, expect) in LEGACY_CONTAINERS {
+        let path = fixture(name);
+        assert!(weights::is_weight_container(&path).unwrap(), "{name}");
+        let opened = WeightStore::open(&path);
+        let auto = weights::load_model_auto(&path);
+        for (what, err) in [
+            ("open", opened.map(|_| ()).unwrap_err()),
+            ("load_model_auto", auto.map(|_| ()).unwrap_err()),
+        ] {
+            assert!(matches!(err, CoreError::Model(_)), "{name} {what}: {err:?}");
+            let msg = err.to_string();
+            assert!(msg.contains(expect), "{name} {what}: {msg}");
+            assert!(msg.contains("f32"), "{name} {what}: {msg}");
         }
     }
-    set_backend(None);
 }

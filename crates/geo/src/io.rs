@@ -69,12 +69,6 @@ const TRAFFIC_MAGIC: &[u8; 4] = b"SGTM";
 const CONTEXT_MAGIC: &[u8; 4] = b"SGCM";
 const BAND_MAGIC: &[u8; 4] = b"SGBD";
 
-/// Magic of the sharded-training gradient frames exchanged between the
-/// train coordinator and its worker processes (see `spectragan-core`'s
-/// `shard` module). The frame body is caller-defined; the container
-/// framing (version + length + CRC) is [`encode_checked`]'s.
-pub const GRAD_FRAME_MAGIC: &[u8; 4] = b"SGGF";
-
 /// Errors for map (de)serialization.
 #[derive(Debug)]
 pub enum IoError {
@@ -279,20 +273,6 @@ pub fn decode_checked<'a>(magic: &[u8; 4], bytes: &'a [u8]) -> Result<&'a [u8], 
     Ok(payload)
 }
 
-/// Writes `payload` to `w` as one checked frame ([`encode_checked`])
-/// and flushes. The length-prefixed header makes the frame
-/// self-delimiting on a byte stream — the transport the sharded
-/// trainer's coordinator↔worker pipes use.
-pub fn write_checked_frame(
-    w: &mut impl Write,
-    magic: &[u8; 4],
-    payload: &[u8],
-) -> Result<(), IoError> {
-    w.write_all(&encode_checked(magic, payload))?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Reads one checked frame from `r` and returns its validated payload.
 ///
 /// Reads exactly one header and then exactly the promised payload, so
@@ -306,9 +286,9 @@ pub fn write_checked_frame(
 /// untrusted input. `max_len` caps it: a frame claiming more payload
 /// bytes than `max_len` is rejected as [`IoError::FrameTooLarge`]
 /// without any allocation, so a forged 2^60-byte header can never OOM
-/// the reader. Callers pick a cap from what the protocol can
-/// legitimately carry (a command frame is tens of bytes; a gradient
-/// frame is bounded by the model size).
+/// the reader. Callers pick a cap from what the format can
+/// legitimately carry (a checkpoint reader caps at the largest
+/// snapshot a model can produce).
 pub fn read_checked_frame(
     r: &mut impl Read,
     magic: &[u8; 4],
@@ -776,36 +756,37 @@ mod tests {
         ));
     }
 
+    /// Magic of the frames the stream tests below build.
+    const FRAME_MAGIC: &[u8; 4] = b"TSTF";
+
     #[test]
     fn checked_frames_are_self_delimiting_on_a_stream() {
-        let mut stream = Vec::new();
-        write_checked_frame(&mut stream, GRAD_FRAME_MAGIC, b"first frame").unwrap();
-        write_checked_frame(&mut stream, GRAD_FRAME_MAGIC, b"").unwrap();
-        write_checked_frame(&mut stream, GRAD_FRAME_MAGIC, &[0xAB; 1000]).unwrap();
+        let mut stream = encode_checked(FRAME_MAGIC, b"first frame");
+        stream.extend_from_slice(&encode_checked(FRAME_MAGIC, b""));
+        stream.extend_from_slice(&encode_checked(FRAME_MAGIC, &[0xAB; 1000]));
         let mut r = stream.as_slice();
         assert_eq!(
-            read_checked_frame(&mut r, GRAD_FRAME_MAGIC, 1 << 20).unwrap(),
+            read_checked_frame(&mut r, FRAME_MAGIC, 1 << 20).unwrap(),
             b"first frame"
         );
         assert_eq!(
-            read_checked_frame(&mut r, GRAD_FRAME_MAGIC, 1 << 20).unwrap(),
+            read_checked_frame(&mut r, FRAME_MAGIC, 1 << 20).unwrap(),
             b""
         );
         assert_eq!(
-            read_checked_frame(&mut r, GRAD_FRAME_MAGIC, 1 << 20).unwrap(),
+            read_checked_frame(&mut r, FRAME_MAGIC, 1 << 20).unwrap(),
             vec![0xAB; 1000]
         );
         // The stream is fully consumed; a further read is a clean EOF.
         assert!(matches!(
-            read_checked_frame(&mut r, GRAD_FRAME_MAGIC, 1 << 20),
+            read_checked_frame(&mut r, FRAME_MAGIC, 1 << 20),
             Err(IoError::Fs(ref e)) if e.kind() == std::io::ErrorKind::UnexpectedEof
         ));
     }
 
     #[test]
     fn checked_frame_stream_rejects_corruption() {
-        let mut stream = Vec::new();
-        write_checked_frame(&mut stream, GRAD_FRAME_MAGIC, b"payload bytes").unwrap();
+        let stream = encode_checked(FRAME_MAGIC, b"payload bytes");
         // Wrong magic.
         assert!(matches!(
             read_checked_frame(&mut stream.as_slice(), b"XXXX", 1 << 20),
@@ -816,20 +797,20 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x01;
         assert!(matches!(
-            read_checked_frame(&mut flipped.as_slice(), GRAD_FRAME_MAGIC, 1 << 20),
+            read_checked_frame(&mut flipped.as_slice(), FRAME_MAGIC, 1 << 20),
             Err(IoError::BadChecksum { .. })
         ));
         // Truncation mid-payload is a length mismatch, never valid data.
         let cut = &stream[..stream.len() - 2];
         assert!(matches!(
-            read_checked_frame(&mut &cut[..], GRAD_FRAME_MAGIC, 1 << 20),
+            read_checked_frame(&mut &cut[..], FRAME_MAGIC, 1 << 20),
             Err(IoError::BadLength { .. })
         ));
         // A bad version is reported as such.
         let mut badver = stream.clone();
         badver[4] = 7;
         assert!(matches!(
-            read_checked_frame(&mut badver.as_slice(), GRAD_FRAME_MAGIC, 1 << 20),
+            read_checked_frame(&mut badver.as_slice(), FRAME_MAGIC, 1 << 20),
             Err(IoError::BadVersion(7))
         ));
     }
@@ -868,15 +849,12 @@ mod tests {
     fn forged_giant_length_header_is_rejected_without_allocation() {
         // A frame whose header claims 2^60 payload bytes. Reading it
         // must fail typed at the cap check — before the payload buffer
-        // is allocated — or a corrupt checkpoint / torn pipe frame
-        // could OOM the process.
-        let mut forged = Vec::new();
-        forged.extend_from_slice(GRAD_FRAME_MAGIC);
-        forged.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        forged.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        forged.extend_from_slice(&0u32.to_le_bytes());
+        // is allocated — or a corrupt checkpoint could OOM the
+        // process.
+        let mut forged = encode_checked(FRAME_MAGIC, b"");
+        forged[6..14].copy_from_slice(&(1u64 << 60).to_le_bytes());
         assert!(matches!(
-            read_checked_frame(&mut forged.as_slice(), GRAD_FRAME_MAGIC, 1 << 20),
+            read_checked_frame(&mut forged.as_slice(), FRAME_MAGIC, 1 << 20),
             Err(IoError::FrameTooLarge {
                 len,
                 max: 1_048_576,
@@ -888,14 +866,13 @@ mod tests {
     fn frame_cap_is_inclusive() {
         // A frame exactly at the cap passes; one byte over fails.
         let payload = vec![0x5Au8; 64];
-        let mut stream = Vec::new();
-        write_checked_frame(&mut stream, GRAD_FRAME_MAGIC, &payload).unwrap();
+        let stream = encode_checked(FRAME_MAGIC, &payload);
         assert_eq!(
-            read_checked_frame(&mut stream.as_slice(), GRAD_FRAME_MAGIC, 64).unwrap(),
+            read_checked_frame(&mut stream.as_slice(), FRAME_MAGIC, 64).unwrap(),
             payload
         );
         assert!(matches!(
-            read_checked_frame(&mut stream.as_slice(), GRAD_FRAME_MAGIC, 63),
+            read_checked_frame(&mut stream.as_slice(), FRAME_MAGIC, 63),
             Err(IoError::FrameTooLarge { len: 64, max: 63 })
         ));
     }

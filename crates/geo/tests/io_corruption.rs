@@ -1,8 +1,8 @@
 //! Corrupt-input property tests for every `geo::io` decoder.
 //!
 //! The decoders sit on trust boundaries: files shared between users,
-//! bytes streamed from a network peer, pipes shared with a possibly
-//! dying worker process. The properties here assert the decoder
+//! bytes streamed from a network peer, checkpoints torn by a crash.
+//! The properties here assert the decoder
 //! contract under corruption — a mangled input either decodes to a
 //! self-consistent value or returns a *typed* [`IoError`]; it never
 //! panics, and length headers can never drive an allocation above the
@@ -12,9 +12,12 @@ use proptest::prelude::*;
 use spectragan_geo::io::{
     crc32, decode_band, decode_checked, decode_context, decode_traffic, encode_band,
     encode_checked, encode_context, encode_traffic, extend_f32_le, f32s_from_le,
-    read_checked_frame, IoError, FORMAT_VERSION, GRAD_FRAME_MAGIC,
+    read_checked_frame, IoError, FORMAT_VERSION,
 };
 use spectragan_geo::{ContextMap, TrafficBand, TrafficMap};
+
+/// Magic of the checked frames these properties build.
+const FRAME_MAGIC: &[u8; 4] = b"TSTF";
 
 /// A deterministic pseudo-random f32 payload.
 fn payload(n: usize, seed: u64) -> Vec<f32> {
@@ -107,12 +110,9 @@ proptest! {
     #[test]
     fn oversized_length_headers_are_capped(cap in 0usize..10_000, over in 1u64..u64::MAX / 2) {
         let claimed = (cap as u64).saturating_add(over);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(GRAD_FRAME_MAGIC);
-        frame.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        frame.extend_from_slice(&claimed.to_le_bytes());
-        frame.extend_from_slice(&0u32.to_le_bytes());
-        let got = read_checked_frame(&mut frame.as_slice(), GRAD_FRAME_MAGIC, cap);
+        let mut frame = encode_checked(FRAME_MAGIC, b"");
+        frame[6..14].copy_from_slice(&claimed.to_le_bytes());
+        let got = read_checked_frame(&mut frame.as_slice(), FRAME_MAGIC, cap);
         prop_assert!(
             matches!(got, Err(IoError::FrameTooLarge { len, max }) if len == claimed && max == cap)
         );
@@ -128,10 +128,10 @@ proptest! {
             .flat_map(|v| v.to_le_bytes())
             .take(n)
             .collect();
-        let mut framed = encode_checked(GRAD_FRAME_MAGIC, &body);
+        let mut framed = encode_checked(FRAME_MAGIC, &body);
         prop_assume!(flip < framed.len());
         framed[flip] ^= 1 << bit;
-        match decode_checked(GRAD_FRAME_MAGIC, &framed) {
+        match decode_checked(FRAME_MAGIC, &framed) {
             Err(
                 IoError::BadMagic
                 | IoError::BadVersion(_)

@@ -115,13 +115,10 @@ impl Linear {
         x.matmul_bias_act(&bind.var(self.w), &bind.var(self.b), act.fused())
     }
 
-    /// Tape-free forward pass for inference. Int8-stored weights
-    /// stream through the backend's dequantizing GEMM (see
-    /// [`ParamStore::infer_matmul`]); everything else is the plain
-    /// widen-and-matmul path.
+    /// Tape-free forward pass for inference.
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut y = store.infer_matmul(x, self.w);
-        let b = store.weight(self.b);
+        let mut y = x.matmul(store.get(self.w));
+        let b = store.get(self.b);
         let (n, m) = (y.shape().dim(0), y.shape().dim(1));
         for row in 0..n {
             for col in 0..m {
@@ -168,8 +165,8 @@ impl Conv2d {
 
     /// Tape-free forward pass for inference.
     pub fn forward_infer(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut y = x.conv2d(&store.weight(self.w), self.pad);
-        let b = store.weight(self.b);
+        let mut y = x.conv2d(store.get(self.w), self.pad);
+        let b = store.get(self.b);
         let (n, c) = (y.shape().dim(0), y.shape().dim(1));
         let hw = y.shape().dim(2) * y.shape().dim(3);
         for bi in 0..n {

@@ -46,7 +46,7 @@ pub mod param;
 pub use layers::{Activation, Conv2d, Linear, Mlp};
 pub use lstm::{Lstm, LstmState};
 pub use optim::{collect_updates, Adam, AdamParamState, AdamState, Sgd};
-pub use param::{Binding, F16Slice, LazySource, ParamId, ParamStore, Q8Buf, Q8Slice, WeightRef};
+pub use param::{Binding, LazySource, ParamId, ParamStore};
 
 // Re-exported so downstream crates depend on one prelude.
 pub use spectragan_tensor::{Shape, Tape, Tensor, Var};

@@ -150,7 +150,7 @@ impl Lstm {
         h: &Tensor,
         c: &Tensor,
     ) -> (Tensor, Tensor) {
-        self.step_infer_projected(store, &store.infer_matmul(x, self.wx), h, c)
+        self.step_infer_projected(store, &x.matmul(store.get(self.wx)), h, c)
     }
 
     /// Tape-free step for inference with a precomputed input projection.
@@ -162,8 +162,8 @@ impl Lstm {
         c: &Tensor,
     ) -> (Tensor, Tensor) {
         let hs = self.hidden_size;
-        let mut gates = xw.add(&store.infer_matmul(h, self.wh));
-        let b = store.weight(self.b);
+        let mut gates = xw.add(&h.matmul(store.get(self.wh)));
+        let b = store.get(self.b);
         let n = gates.shape().dim(0);
         for row in 0..n {
             for col in 0..4 * hs {
@@ -250,9 +250,7 @@ impl Lstm {
     /// the step loop of [`Lstm::step_infer_projected`] and
     /// [`Linear::forward_infer`], at any thread count; under any
     /// backend it is bit-identical across thread counts and to the
-    /// taped rollout's value. Reduced-precision weights are widened
-    /// once per call ([`ParamStore::weight`]), which reproduces the
-    /// scalar dequantizing matmul's `av · (q · s)` exactly.
+    /// taped rollout's value.
     ///
     /// # Panics
     /// Panics unless `xw` is `[N, 4·hidden]` and `head` maps `hidden`
@@ -279,10 +277,10 @@ impl Lstm {
         );
         lstm_seq::rollout(
             xw,
-            &store.weight(self.wh),
-            &store.weight(self.b),
-            &store.weight(head.w),
-            store.weight(head.b).data()[0],
+            store.get(self.wh),
+            store.get(self.b),
+            store.get(head.w),
+            store.get(head.b).data()[0],
             t_out,
         )
     }

@@ -156,9 +156,10 @@ impl Adam {
     /// (ascending-index) order, as [`collect_updates`] produces them —
     /// clips, and applies the Adam rule. `step` is exactly
     /// `apply_updates(store, collect_updates(bound, grads))`, so a
-    /// caller that reduces gradients elsewhere (the sharded trainer's
-    /// reduce phase) and feeds the identical update list through here
-    /// updates the store bit-identically to the fused path.
+    /// caller that inspects or folds the gradients between the two
+    /// (the GAN trainer's divergence guard and gradient accumulation)
+    /// and feeds the identical update list through here updates the
+    /// store bit-identically to the fused path.
     pub fn apply_updates(&mut self, store: &mut ParamStore, mut updates: Vec<(ParamId, Tensor)>) {
         apply_clip(&mut updates, self.clip_norm);
         for (id, g) in updates {
@@ -410,7 +411,7 @@ mod tests {
     }
 
     /// `step` and `collect_updates` → `apply_updates` are the same
-    /// computation, bit-for-bit — the contract the sharded trainer's
+    /// computation, bit-for-bit — the contract the GAN trainer's
     /// split compute/apply phases rely on.
     #[test]
     fn split_collect_apply_matches_fused_step() {

@@ -7,34 +7,19 @@
 //! on the current tape so a forward pass can use them and the optimizer
 //! can look their gradients up afterwards.
 //!
-//! # Reduced-precision storage
+//! # Lazy storage
 //!
 //! A parameter is normally a resident f32 [`Tensor`] ([`Slot::Dense`]).
-//! For serving, a store may instead hold **f16 storage bytes**
-//! ([`Slot::Half`] backed by an [`F16Slice`]) or **symmetric-int8
-//! storage** ([`Slot::Int8`] backed by a [`Q8Slice`]: 1 byte per
-//! element plus per-row f32 scales) — typically sections of a
-//! memory-mapped weight container owned by `spectragan-core`. The
-//! split keeps the precision contract structural:
-//!
-//! * [`ParamStore::get`]/[`ParamStore::get_mut`] — the training and
-//!   optimizer path — return `&Tensor` and **panic** on a
-//!   reduced-precision slot: training stays f32 by construction, not
-//!   by convention.
-//! * [`ParamStore::weight`] — the inference path — returns a
-//!   [`WeightRef`] that borrows a dense tensor directly and widens a
-//!   reduced-precision slot transiently (exact per-element widening
-//!   and `q · s` dequantization, see `spectragan_tensor::{f16, q8}`).
-//!   Nothing f32 stays resident between calls, which is where the
-//!   ~2× (f16) / ~4× (int8) serving-memory reduction comes from.
-//! * [`ParamStore::infer_matmul`] — the GEMM fast path — streams an
-//!   int8 2-D parameter through the backend's dequantizing matmul
-//!   without materializing the widened layer at all.
+//! A store built over a memory-mapped weight container (owned by
+//! `spectragan-core`) may instead hold a [`LazySource`]
+//! ([`Slot::Lazy`]): the section stays on disk until the parameter is
+//! first touched, then materializes once, bit-identical to the dense
+//! value, and stays resident. Every accessor — training, optimizer and
+//! inference — sees the same `&Tensor` through [`ParamStore::get`].
 
 use serde::{DeError, Deserialize, Serialize, Value};
-use spectragan_tensor::{backend, Shape, Tape, Tensor, Var};
+use spectragan_tensor::{Shape, Tape, Tensor, Var};
 use std::cell::RefCell;
-use std::ops::Deref;
 use std::rc::Rc;
 use std::sync::{Arc, OnceLock};
 
@@ -49,81 +34,6 @@ impl ParamId {
     /// and discriminator parameters).
     pub fn index(self) -> usize {
         self.0
-    }
-}
-
-/// Storage-only f16 bytes for one parameter: little-endian pairs, two
-/// bytes per element, in the tensor's row-major element order.
-///
-/// Implementations live where the bytes live — `spectragan-core`'s
-/// weight store hands out views into a memory-mapped (or buffered)
-/// container file. The trait keeps `nn` independent of how the bytes
-/// are held while letting the store widen them on demand.
-pub trait F16Slice: Send + Sync {
-    /// The raw little-endian f16 bytes (`2 × numel` of them).
-    fn bytes(&self) -> &[u8];
-
-    /// Byte count without touching the bytes. Mapped sources override
-    /// this so a size check does not fault in (and checksum) the
-    /// section; the default just measures [`F16Slice::bytes`].
-    fn byte_len(&self) -> usize {
-        self.bytes().len()
-    }
-}
-
-impl F16Slice for Vec<u8> {
-    fn bytes(&self) -> &[u8] {
-        self
-    }
-
-    fn byte_len(&self) -> usize {
-        self.len()
-    }
-}
-
-/// Storage-only symmetric-int8 payload for one parameter: one byte per
-/// element (two's complement, row-major element order) plus one f32
-/// scale per quantization row (`spectragan_tensor::q8::scale_rows` of
-/// the parameter's shape: the leading dimension for `ndim ≥ 2`, the
-/// whole tensor otherwise).
-///
-/// Like [`F16Slice`], implementations live where the bytes live — the
-/// weight container hands out views into mapped sections; in-memory
-/// narrowing uses [`Q8Buf`].
-pub trait Q8Slice: Send + Sync {
-    /// The raw quantized bytes (`numel` of them).
-    fn bytes(&self) -> &[u8];
-
-    /// The per-row dequantization scales.
-    fn scales(&self) -> &[f32];
-
-    /// Byte count without touching the payload (mapped sources
-    /// override so a size check does not fault the section in).
-    fn byte_len(&self) -> usize {
-        self.bytes().len()
-    }
-}
-
-/// Heap-resident [`Q8Slice`], produced by in-memory narrowing
-/// (`narrow_to_int8` in `spectragan-core`).
-pub struct Q8Buf {
-    /// Quantized payload, 1 byte per element.
-    pub data: Vec<u8>,
-    /// Per-row scales.
-    pub scales: Vec<f32>,
-}
-
-impl Q8Slice for Q8Buf {
-    fn bytes(&self) -> &[u8] {
-        &self.data
-    }
-
-    fn scales(&self) -> &[f32] {
-        &self.scales
-    }
-
-    fn byte_len(&self) -> usize {
-        self.data.len()
     }
 }
 
@@ -149,20 +59,6 @@ enum Slot {
         source: Arc<dyn LazySource>,
         cache: OnceLock<Tensor>,
     },
-    /// f16 storage bytes plus the shape they decode to; widened
-    /// transiently by [`ParamStore::weight`].
-    Half {
-        shape: Shape,
-        bytes: Arc<dyn F16Slice>,
-    },
-    /// Symmetric-int8 storage (1 byte per element + per-row scales);
-    /// streamed through the dequantizing GEMM by
-    /// [`ParamStore::infer_matmul`], widened transiently everywhere
-    /// else.
-    Int8 {
-        shape: Shape,
-        data: Arc<dyn Q8Slice>,
-    },
 }
 
 impl Clone for Slot {
@@ -187,14 +83,6 @@ impl Clone for Slot {
                     cache: fresh,
                 }
             }
-            Slot::Half { shape, bytes } => Slot::Half {
-                shape: shape.clone(),
-                bytes: Arc::clone(bytes),
-            },
-            Slot::Int8 { shape, data } => Slot::Int8 {
-                shape: shape.clone(),
-                data: Arc::clone(data),
-            },
         }
     }
 }
@@ -208,30 +96,6 @@ impl Slot {
         match self {
             Slot::Dense(t) => t.shape(),
             Slot::Lazy { shape, .. } => shape,
-            Slot::Half { shape, .. } => shape,
-            Slot::Int8 { shape, .. } => shape,
-        }
-    }
-}
-
-/// A read view of one parameter: either a borrow of the resident f32
-/// tensor or a transiently widened copy of f16 storage. Derefs to
-/// [`Tensor`], so kernel call sites take `&store.weight(id)` exactly
-/// where they took `store.get(id)`.
-pub enum WeightRef<'a> {
-    /// Borrowed resident tensor (f32 slots; zero cost).
-    Borrowed(&'a Tensor),
-    /// Widened-on-demand tensor (f16 slots; dropped after use).
-    Widened(Tensor),
-}
-
-impl Deref for WeightRef<'_> {
-    type Target = Tensor;
-
-    fn deref(&self) -> &Tensor {
-        match self {
-            WeightRef::Borrowed(t) => t,
-            WeightRef::Widened(t) => t,
         }
     }
 }
@@ -273,40 +137,21 @@ impl ParamStore {
     }
 
     /// Bytes of parameter storage resident in this process: 4 per
-    /// element for dense f32 slots, 2 per element for f16 storage
-    /// slots, 1 per element plus 4 per scale row for int8 storage
-    /// slots. (For memory-mapped reduced-precision slots even those
-    /// bytes are shared, clean page-cache pages.) This is the number
-    /// the serve registry reports per city and the perf gate's
-    /// resident-weight sweep measures.
+    /// element for dense slots and for lazy slots already touched,
+    /// nothing for lazy slots still on disk. This is the number the
+    /// serve registry reports per city.
     pub fn resident_weight_bytes(&self) -> usize {
         self.values
             .iter()
             .map(|s| match s {
                 Slot::Dense(t) => 4 * t.numel(),
                 Slot::Lazy { cache, .. } => cache.get().map_or(0, |t| 4 * t.numel()),
-                Slot::Half { bytes, .. } => bytes.byte_len(),
-                Slot::Int8 { data, .. } => data.byte_len() + 4 * data.scales().len(),
             })
             .sum()
     }
 
-    /// Whether any parameter is held as f16 storage.
-    pub fn has_half_storage(&self) -> bool {
-        self.values.iter().any(|s| matches!(s, Slot::Half { .. }))
-    }
-
-    /// Whether any parameter is held as int8 storage.
-    pub fn has_int8_storage(&self) -> bool {
-        self.values.iter().any(|s| matches!(s, Slot::Int8 { .. }))
-    }
-
-    /// Read access to a parameter's current value — the training path.
-    ///
-    /// # Panics
-    /// Panics on an f16 storage slot: training and optimizer state
-    /// require resident f32 values. Inference goes through
-    /// [`ParamStore::weight`], which handles both representations.
+    /// Read access to a parameter's current value, materializing a
+    /// lazy slot on first touch.
     pub fn get(&self, id: ParamId) -> &Tensor {
         match &self.values[id.0] {
             Slot::Dense(t) => t,
@@ -324,55 +169,16 @@ impl ParamStore {
                 );
                 t
             }
-            Slot::Half { .. } | Slot::Int8 { .. } => panic!(
-                "parameter '{}' is reduced-precision storage; training requires f32 — \
-                 load f32 weights, or use weight() on the inference path",
-                self.names[id.0]
-            ),
-        }
-    }
-
-    /// Read view of a parameter for inference: borrows dense slots,
-    /// transiently widens f16 slots (exact widening; every kernel
-    /// still computes in f32) and int8 slots (exact `q · s`
-    /// dequantization). The widened copy lives only as long as the
-    /// returned [`WeightRef`].
-    pub fn weight(&self, id: ParamId) -> WeightRef<'_> {
-        match &self.values[id.0] {
-            Slot::Dense(_) | Slot::Lazy { .. } => WeightRef::Borrowed(self.get(id)),
-            Slot::Half { shape, bytes } => {
-                let mut out = vec![0f32; shape.numel()];
-                backend::active().widen_f16_le(bytes.bytes(), &mut out);
-                WeightRef::Widened(Tensor::from_vec(out, shape.clone()))
-            }
-            Slot::Int8 { shape, data } => {
-                let mut out = vec![0f32; shape.numel()];
-                backend::active().widen_i8_scaled(data.bytes(), data.scales(), &mut out);
-                WeightRef::Widened(Tensor::from_vec(out, shape.clone()))
-            }
         }
     }
 
     /// Inference matmul against a parameter used as the right operand:
-    /// `x @ W`. Int8-stored 2-D parameters stream through the
-    /// backend's dequantizing GEMM — reading the weight at 1 byte per
-    /// element with the per-row scale applied inside the kernel,
-    /// instead of widening the whole layer up front — every other
-    /// representation routes through [`ParamStore::weight`] exactly as
-    /// the call sites did before int8 existed.
+    /// `x @ W`, exactly `x.matmul(self.get(id))`.
     pub fn infer_matmul(&self, x: &Tensor, id: ParamId) -> Tensor {
-        if let Slot::Int8 { shape, data } = &self.values[id.0] {
-            if shape.ndim() == 2 {
-                return backend::active().matmul_q8(x, data.bytes(), data.scales(), shape.dim(1));
-            }
-        }
-        x.matmul(&self.weight(id))
+        x.matmul(self.get(id))
     }
 
     /// Mutable access to a parameter's current value.
-    ///
-    /// # Panics
-    /// Panics on an f16 storage slot (see [`ParamStore::get`]).
     pub fn get_mut(&mut self, id: ParamId) -> &mut Tensor {
         // Promote a lazy slot to dense first; mutation implies the
         // value diverges from its on-disk source for good.
@@ -383,10 +189,6 @@ impl ParamStore {
         match &mut self.values[id.0] {
             Slot::Dense(t) => t,
             Slot::Lazy { .. } => unreachable!("promoted above"),
-            Slot::Half { .. } | Slot::Int8 { .. } => panic!(
-                "parameter '{}' is reduced-precision storage and cannot be mutated",
-                self.names[id.0]
-            ),
         }
     }
 
@@ -395,13 +197,13 @@ impl ParamStore {
         &self.names[id.0]
     }
 
-    /// The shape of a parameter, for either storage representation.
+    /// The shape of a parameter, without materializing a lazy slot.
     pub fn shape(&self, id: ParamId) -> &Shape {
         self.values[id.0].shape()
     }
 
-    /// Iterates over `(id, name, value)` triples. Training-path
-    /// iteration: panics on f16 slots like [`ParamStore::get`].
+    /// Iterates over `(id, name, value)` triples, materializing every
+    /// lazy slot.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &str, &Tensor)> {
         self.values
             .iter()
@@ -409,9 +211,8 @@ impl ParamStore {
             .map(|(i, _)| (ParamId(i), self.names[i].as_str(), self.get(ParamId(i))))
     }
 
-    /// Iterates over every parameter id without touching any value, so
-    /// it works regardless of storage representation (unlike
-    /// [`ParamStore::iter`], which materializes).
+    /// Iterates over every parameter id without touching any value
+    /// (unlike [`ParamStore::iter`], which materializes).
     pub fn ids(&self) -> impl Iterator<Item = ParamId> {
         (0..self.values.len()).map(ParamId)
     }
@@ -429,69 +230,7 @@ impl ParamStore {
         };
     }
 
-    /// Replaces a dense parameter's value with f16 storage of the same
-    /// shape. The inference accessor ([`ParamStore::weight`]) widens it
-    /// on demand; the training accessors panic from then on.
-    ///
-    /// # Panics
-    /// Panics if `bytes` is not exactly 2 bytes per element of the
-    /// parameter's current shape.
-    pub fn demote_to_half(&mut self, id: ParamId, bytes: Arc<dyn F16Slice>) {
-        let shape = self.values[id.0].shape().clone();
-        assert_eq!(
-            bytes.byte_len(),
-            2 * shape.numel(),
-            "parameter '{}': {} f16 bytes cannot fill shape {:?}",
-            self.names[id.0],
-            bytes.byte_len(),
-            shape.dims()
-        );
-        self.values[id.0] = Slot::Half { shape, bytes };
-    }
-
-    /// Replaces a parameter's value with symmetric-int8 storage of the
-    /// same shape. The inference accessors ([`ParamStore::weight`],
-    /// [`ParamStore::infer_matmul`]) dequantize it on demand; the
-    /// training accessors panic from then on.
-    ///
-    /// # Panics
-    /// Panics if `data` is not exactly 1 byte per element of the
-    /// parameter's current shape, or its scale count differs from the
-    /// canonical `q8::scale_rows` granularity, or any scale is
-    /// non-finite or non-positive (a non-finite scale would dequantize
-    /// to NaN — the weight-container load path refuses such files with
-    /// a typed error before ever reaching here).
-    pub fn demote_to_int8(&mut self, id: ParamId, data: Arc<dyn Q8Slice>) {
-        let shape = self.values[id.0].shape().clone();
-        assert_eq!(
-            data.byte_len(),
-            shape.numel(),
-            "parameter '{}': {} int8 bytes cannot fill shape {:?}",
-            self.names[id.0],
-            data.byte_len(),
-            shape.dims()
-        );
-        let rows = spectragan_tensor::q8::scale_rows(&shape);
-        assert_eq!(
-            data.scales().len(),
-            rows,
-            "parameter '{}': {} scales for {rows} quantization rows",
-            self.names[id.0],
-            data.scales().len()
-        );
-        assert!(
-            data.scales().iter().all(|s| s.is_finite() && *s > 0.0),
-            "parameter '{}': non-finite or non-positive dequantization scale",
-            self.names[id.0]
-        );
-        self.values[id.0] = Slot::Int8 { shape, data };
-    }
-
     /// Serializes the whole store (names + weights) to JSON.
-    ///
-    /// # Panics
-    /// Panics if any parameter is f16 storage — JSON is the training
-    /// and interchange format and is defined over f32 values only.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).expect("ParamStore serialization cannot fail")
     }
@@ -506,8 +245,7 @@ impl ParamStore {
     /// same architecture.
     ///
     /// # Panics
-    /// Panics if the stores differ in parameter count or any shape, or
-    /// if either store holds f16 storage slots.
+    /// Panics if the stores differ in parameter count or any shape.
     pub fn copy_values_from(&mut self, other: &ParamStore) {
         assert_eq!(
             self.len(),
@@ -540,15 +278,9 @@ impl Serialize for ParamStore {
         let values: Vec<Value> = self
             .values
             .iter()
-            .enumerate()
-            .map(|(i, s)| match s {
+            .map(|s| match s {
                 Slot::Dense(t) => t.to_value(),
                 Slot::Lazy { source, cache, .. } => cache.get_or_init(|| source.load()).to_value(),
-                Slot::Half { .. } | Slot::Int8 { .. } => panic!(
-                    "parameter '{}' is reduced-precision storage; JSON serialization is \
-                     f32-only (export an f32 weight container instead)",
-                    self.names[i]
-                ),
             })
             .collect();
         Value::Obj(vec![
@@ -663,115 +395,5 @@ mod tests {
         let restored = ParamStore::from_json(&json).unwrap();
         assert_eq!(restored.get(ParamId(id.0)).data(), &[1.5, -2.5]);
         assert_eq!(restored.name(id), "w");
-    }
-
-    #[test]
-    fn weight_borrows_dense_and_widens_half() {
-        let mut store = ParamStore::new();
-        let vals = vec![1.5f32, -2.25, 0.0, 65504.0];
-        let id = store.register("w", Tensor::from_vec(vals.clone(), [2, 2]));
-        // Dense: the view is a borrow of the same data.
-        assert_eq!(store.weight(id).data(), vals.as_slice());
-        assert_eq!(store.resident_weight_bytes(), 16);
-        // Demote to f16 storage (these values are all exactly
-        // representable, so widening returns them bit-identically).
-        let half = spectragan_tensor::f16::narrow_slice_le(&vals);
-        store.demote_to_half(id, Arc::new(half));
-        assert!(store.has_half_storage());
-        assert_eq!(store.resident_weight_bytes(), 8);
-        assert_eq!(store.num_weights(), 4);
-        assert_eq!(store.shape(id).dims(), &[2, 2]);
-        let w = store.weight(id);
-        assert_eq!(w.data(), vals.as_slice());
-        assert_eq!(w.shape().dims(), &[2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "reduced-precision storage")]
-    fn training_access_to_half_storage_panics() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::from_vec(vec![1.0, 2.0], [2]));
-        store.demote_to_half(
-            id,
-            Arc::new(spectragan_tensor::f16::narrow_slice_le(&[1.0, 2.0])),
-        );
-        let _ = store.get(id);
-    }
-
-    #[test]
-    #[should_panic(expected = "f32-only")]
-    fn json_serialization_of_half_storage_panics() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::from_vec(vec![1.0], [1]));
-        store.demote_to_half(
-            id,
-            Arc::new(spectragan_tensor::f16::narrow_slice_le(&[1.0])),
-        );
-        let _ = store.to_json();
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot fill shape")]
-    fn demote_rejects_wrong_byte_count() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::from_vec(vec![1.0, 2.0, 3.0], [3]));
-        store.demote_to_half(id, Arc::new(vec![0u8; 4]));
-    }
-
-    #[test]
-    fn int8_storage_widens_and_streams_through_the_gemm() {
-        let mut store = ParamStore::new();
-        // Exactly representable under absmax/127 scaling: row absmaxes
-        // 127 and 63.5 → scales 1.0 and 0.5 (both powers of two), so
-        // q · scale reproduces every value bit-exactly.
-        let vals = vec![127.0f32, -127.0, 64.0, 63.5, 0.0, -2.0];
-        let id = store.register("w", Tensor::from_vec(vals.clone(), [2, 3]));
-        let q = spectragan_tensor::q8::quantize_tensor(&vals, store.shape(id));
-        store.demote_to_int8(
-            id,
-            Arc::new(Q8Buf {
-                data: q.data,
-                scales: q.scales,
-            }),
-        );
-        assert!(store.has_int8_storage());
-        // 6 payload bytes + 2 row scales × 4 bytes.
-        assert_eq!(store.resident_weight_bytes(), 6 + 8);
-        assert_eq!(store.weight(id).data(), vals.as_slice());
-        let x = Tensor::from_vec(vec![1.0, 2.0], [1, 2]);
-        let y = store.infer_matmul(&x, id);
-        let want = x.matmul(&store.weight(id));
-        assert_eq!(y.data(), want.data());
-        assert_eq!(y.shape().dims(), &[1, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "reduced-precision storage")]
-    fn training_access_to_int8_storage_panics() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::from_vec(vec![1.0, 2.0], [1, 2]));
-        let q = spectragan_tensor::q8::quantize_tensor(&[1.0, 2.0], store.shape(id));
-        store.demote_to_int8(
-            id,
-            Arc::new(Q8Buf {
-                data: q.data,
-                scales: q.scales,
-            }),
-        );
-        let _ = store.get(id);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-finite or non-positive")]
-    fn demote_to_int8_rejects_bad_scales() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::from_vec(vec![1.0, 2.0], [1, 2]));
-        store.demote_to_int8(
-            id,
-            Arc::new(Q8Buf {
-                data: vec![1, 2],
-                scales: vec![f32::NAN],
-            }),
-        );
     }
 }

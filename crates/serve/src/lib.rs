@@ -70,11 +70,6 @@ pub struct ServeConfig {
     pub max_body_bytes: usize,
     /// Upper bound on `t_out` a request may ask for.
     pub max_t_out: usize,
-    /// Serve-time weight precision override. `Some(F16)` narrows every
-    /// loaded model to half-precision storage (halving its resident
-    /// weight bytes) regardless of the on-disk format; `None` serves
-    /// each model at the precision it was stored with.
-    pub weights_precision: Option<spectragan_core::Precision>,
 }
 
 impl ServeConfig {
@@ -88,7 +83,6 @@ impl ServeConfig {
             arena_budget_bytes: 2 << 30,
             max_body_bytes: 64 * 1024,
             max_t_out: 24 * 366,
-            weights_precision: None,
         }
     }
 }
@@ -165,7 +159,7 @@ impl Server {
         Ok(Server {
             listener,
             state: Arc::new(ServerState {
-                registry: Registry::with_precision(&cfg.models_dir, cfg.weights_precision),
+                registry: Registry::new(&cfg.models_dir),
                 admission: Arc::new(Admission::new(cfg.arena_budget_bytes)),
                 max_body_bytes: cfg.max_body_bytes,
                 max_t_out: cfg.max_t_out,

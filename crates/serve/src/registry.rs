@@ -48,10 +48,9 @@ pub struct CityStatus {
     pub loaded: bool,
     /// Whether the weights are memory-mapped from an `SGWT` container.
     pub mapped: bool,
-    /// Bytes of weight storage currently resident for this city:
-    /// materialized f32 layers plus reduced-precision section bytes
-    /// (f16 payloads; int8 payloads plus their f32 scales). Grows as
-    /// lazy layers are first touched; 0 until the city is loaded.
+    /// Bytes of weight storage currently resident for this city: its
+    /// materialized f32 layers. Grows as lazy layers are first
+    /// touched; 0 until the city is loaded.
     pub resident_weight_bytes: usize,
 }
 
@@ -86,9 +85,6 @@ struct CitySlot {
 /// The registry itself. Cheap to share behind an `Arc`.
 pub struct Registry {
     dir: PathBuf,
-    /// When set, every loaded model is narrowed to this reduced
-    /// precision (f16 or int8) whatever its on-disk precision.
-    precision: Option<weights::Precision>,
     slots: Mutex<HashMap<String, Arc<CitySlot>>>,
 }
 
@@ -96,14 +92,8 @@ impl Registry {
     /// Creates a registry over `dir`. The directory is not scanned
     /// until [`Registry::cities`] or a request needs it.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Registry::with_precision(dir, None)
-    }
-
-    /// Like [`Registry::new`], with a serve-time precision override.
-    pub fn with_precision(dir: impl Into<PathBuf>, precision: Option<weights::Precision>) -> Self {
         Registry {
             dir: dir.into(),
-            precision,
             slots: Mutex::new(HashMap::new()),
         }
     }
@@ -217,7 +207,7 @@ impl Registry {
             RegistryError::Load(format!("{}: {e}", model_path.display()))
         };
         let is_sgwt = weights::is_weight_container(&model_path).map_err(|e| err(&e))?;
-        let (mut model, mapped) = if is_sgwt {
+        let (model, mapped) = if is_sgwt {
             let store = weights::WeightStore::open(&model_path).map_err(|e| err(&e))?;
             // Every section checksum is verified here, at load, so a
             // corrupt container surfaces as a typed registration
@@ -232,15 +222,6 @@ impl Registry {
                 false,
             )
         };
-        match self.precision {
-            Some(weights::Precision::F16) if !model.store().has_half_storage() => {
-                weights::narrow_to_f16(&mut model);
-            }
-            Some(weights::Precision::Int8) if !model.store().has_int8_storage() => {
-                weights::narrow_to_int8(&mut model);
-            }
-            _ => {}
-        }
         Ok(CityEntry {
             name: city.to_string(),
             model,

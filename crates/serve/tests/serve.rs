@@ -274,110 +274,57 @@ fn sgwt_container_serves_identical_bytes_and_reports_residency() {
     assert_eq!(health.status, 200, "server must survive the bad load");
 }
 
-/// Reads a city's `resident_weight_bytes` out of `/cities`.
-fn resident_bytes(addr: &str, city: &str) -> f64 {
-    let status = request(addr, "GET", "/cities", b"").unwrap();
-    let parsed: serde_json::Value =
-        serde_json::from_str(std::str::from_utf8(&status.body).unwrap()).unwrap();
-    let serde_json::Value::Arr(items) = &parsed else {
-        panic!("cities is not a list")
-    };
-    let entry = items
-        .iter()
-        .find(|c| matches!(c.get("name"), Some(serde_json::Value::Str(s)) if s == city))
-        .expect("served city listed");
-    match entry.get("resident_weight_bytes") {
-        Some(serde_json::Value::Num(n)) => *n,
-        other => panic!("resident_weight_bytes missing: {other:?}"),
-    }
-}
+/// The f16 and int8 containers earlier releases wrote (see
+/// `spectragan-core`'s `tests/fixtures/`), with the text their refusal
+/// must carry.
+const LEGACY_CONTAINERS: [(&str, &str); 2] = [
+    ("tiny_seed7_f16_v1.sgwt", "unsupported dtype 1 (f16)"),
+    (
+        "tiny_seed7_int8_v2.sgwt",
+        "unsupported weight container version 2",
+    ),
+];
 
-/// Serving out of an int8 container: the wire bytes equal offline
-/// generation from the same container, `/cities` accounts the shrunken
-/// residency (quantized payloads + f32 scales + f32 biases), and a
-/// forged non-finite dequantization scale — with the directory CRC
-/// recomputed so only the semantic check can catch it — is refused at
-/// registration while `/healthz` stays up.
+/// A city whose shared `model.sgwt` is a reduced-precision container
+/// gets the registry's load-failure response naming the unsupported
+/// dtype or version, while `/healthz` and a city with its own model
+/// keep serving.
 #[test]
-fn int8_container_serves_with_reduced_residency_and_refuses_corrupt_scales() {
-    use spectragan_core::weights::{self, Precision, DTYPE_I8, WEIGHT_HEADER};
-
-    let (dir, model, cities) = fixture();
-    let t_out = 24;
-    let (name, context) = &cities[0];
-    let body = gen_body(name, t_out, 7, 5, "sgtm");
-    let path = dir.join("model.sgwt");
-
-    // Baseline: the model's full f32 footprint (the same convention
-    // the f16 residency tests use — a mapped reduced-precision section
-    // counts whole, so it is compared against whole f32 layers, not
-    // against an f32 server's lazy subset).
-    let f32_resident = model.store().resident_weight_bytes() as f64;
-
-    // The fixture as an int8 container.
-    weights::save_weights(&model, &path, Precision::Int8).unwrap();
-    let (server, _) = RunningServer::start(ServeConfig::new("127.0.0.1:0", &dir));
-    let served = request(&server.addr, "POST", "/generate", &body).unwrap();
-    assert_eq!(served.status, 200);
-
-    let loaded = weights::load_model_auto(&path).unwrap();
-    let offline = loaded.generate(context, t_out, 7);
-    assert_eq!(
-        served.body,
-        encode_traffic(&offline),
-        "int8-served SGTM differs from offline int8 bytes"
-    );
-
-    // `/cities` accounts exactly what the offline store holds after a
-    // full generation, and it is well under the f32 footprint.
-    let int8_resident = resident_bytes(&server.addr, name);
-    assert_eq!(
-        int8_resident as usize,
-        loaded.store().resident_weight_bytes(),
-        "served residency diverges from the store's accounting"
-    );
-    assert!(
-        f32_resident >= 3.0 * int8_resident,
-        "int8 residency {int8_resident} not well under f32's {f32_resident}"
-    );
-    drop(server);
-
-    // Forge the first dequantization scale to NaN and reseal the
-    // directory CRC: registration must refuse the container on the
-    // finite-scale check, and the process must survive.
-    let mut bytes = std::fs::read(&path).unwrap();
-    let dir_len = u64::from_le_bytes(bytes[6..14].try_into().unwrap()) as usize;
-    let scale_at = {
-        let d = &bytes[WEIGHT_HEADER..WEIGHT_HEADER + dir_len];
-        let rd = |p: usize| u32::from_le_bytes(d[p..p + 4].try_into().unwrap()) as usize;
-        let mut pos = 4 + rd(0); // config
-        let n_layers = rd(pos);
-        pos += 4;
-        let mut found = None;
-        for _ in 0..n_layers {
-            pos += 4 + rd(pos); // name
-            let dtype = d[pos];
-            let ndim = d[pos + 1] as usize;
-            pos += 2 + 4 * ndim + 8 + 8 + 4;
-            let count = rd(pos);
-            if dtype == DTYPE_I8 && count > 0 {
-                found = Some(WEIGHT_HEADER + pos + 4);
-                break;
-            }
-            pos += 4 + 4 * count;
-        }
-        found.expect("int8 container has a scaled entry")
-    };
-    bytes[scale_at..scale_at + 4].copy_from_slice(&f32::NAN.to_le_bytes());
-    let crc = spectragan_geo::io::crc32(&bytes[WEIGHT_HEADER..WEIGHT_HEADER + dir_len]);
-    bytes[14..18].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
-
-    let (bad_server, _) = RunningServer::start(ServeConfig::new("127.0.0.1:0", &dir));
-    let refused = request(&bad_server.addr, "POST", "/generate", &body).unwrap();
-    assert_ne!(refused.status, 200, "NaN-scale container must not serve");
-    let health = request(&bad_server.addr, "GET", "/healthz", b"").unwrap();
-    assert_eq!(health.status, 200, "server must survive the bad load");
+fn reduced_precision_container_is_a_load_error_and_others_keep_serving() {
+    let (dir, model, _) = fixture();
+    // city_b gets its own model, which wins over the shared one.
+    std::fs::write(dir.join("city_b.json"), model.to_model_json()).unwrap();
+    let fixtures = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../core/tests/fixtures");
+    for (name, expect) in LEGACY_CONTAINERS {
+        std::fs::copy(fixtures.join(name), dir.join("model.sgwt")).unwrap();
+        let (server, _) = RunningServer::start(ServeConfig::new("127.0.0.1:0", &dir));
+        let refused = request(
+            &server.addr,
+            "POST",
+            "/generate",
+            &gen_body("city_a", 24, 7, 5, "sgtm"),
+        )
+        .unwrap();
+        assert_eq!(refused.status, 500, "{name}");
+        let text = String::from_utf8_lossy(&refused.body).to_string();
+        assert!(
+            text.contains("model load failed") && text.contains(expect),
+            "{name}: {text}"
+        );
+        let health = request(&server.addr, "GET", "/healthz", b"").unwrap();
+        assert_eq!(
+            health.status, 200,
+            "{name}: server must survive the bad load"
+        );
+        let other = request(
+            &server.addr,
+            "POST",
+            "/generate",
+            &gen_body("city_b", 24, 7, 5, "sgtm"),
+        )
+        .unwrap();
+        assert_eq!(other.status, 200, "{name}: other cities keep serving");
+    }
 }
 
 #[test]

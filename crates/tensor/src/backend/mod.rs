@@ -158,123 +158,6 @@ pub trait Backend: Sync {
             *v = 1.0 / (1.0 + (-*v).exp());
         }
     }
-
-    /// Widens a little-endian f16 byte stream (2 bytes per element)
-    /// into `out`. This is the load path of the reduced-precision
-    /// weight store: f16 is storage-only, every kernel still computes
-    /// in f32, and the widening itself is **exact** (see
-    /// [`crate::f16::f16_to_f32`]) so the only precision loss is the
-    /// one-time export narrowing. Backends must produce bit-identical
-    /// results; faster backends may only reorganize the loop.
-    ///
-    /// Takes bytes rather than `&[u16]` because mapped or buffered
-    /// file sections carry no alignment guarantee.
-    fn widen_f16_le(&self, bytes: &[u8], out: &mut [f32]) {
-        assert_eq!(
-            bytes.len(),
-            2 * out.len(),
-            "widen_f16_le: {} bytes cannot fill {} f32s",
-            bytes.len(),
-            out.len()
-        );
-        for (o, c) in out.iter_mut().zip(bytes.chunks_exact(2)) {
-            *o = crate::f16::f16_to_f32(u16::from_le_bytes([c[0], c[1]]));
-        }
-    }
-
-    /// Dequantizes a symmetric-int8 byte stream (1 byte per element,
-    /// two's complement; see [`crate::q8`]) into `out`:
-    /// `out[i] = q[i] · scales[i / row_len]` with
-    /// `row_len = out.len() / scales.len()`. Like
-    /// [`Backend::widen_f16_le`] this is the whole-tensor load path of
-    /// the reduced-precision weight store, and the contract is the
-    /// same: backends must produce **bit-identical** results — the
-    /// dequantization expression is fixed, faster backends may only
-    /// reorganize the loop.
-    fn widen_i8_scaled(&self, bytes: &[u8], scales: &[f32], out: &mut [f32]) {
-        let row_len = widen_i8_check(bytes, scales, out);
-        if row_len == 0 {
-            return;
-        }
-        for ((chunk, o_chunk), &s) in bytes
-            .chunks_exact(row_len)
-            .zip(out.chunks_exact_mut(row_len))
-            .zip(scales)
-        {
-            for (&b, o) in chunk.iter().zip(o_chunk) {
-                *o = (b as i8 as i32 as f32) * s;
-            }
-        }
-    }
-
-    /// Dequantizing GEMM: `a: [m, k] @ dequant(bq): [k, n] → [m, n]`,
-    /// where `bq` is a symmetric-int8 section with one scale per
-    /// b-row (`scales.len() == k`). The default is the **scalar
-    /// reference**: it dequantizes each b element with the exact
-    /// [`Backend::widen_i8_scaled`] expression inside the inner loop,
-    /// in the exact accumulation order of [`Backend::matmul`], so it
-    /// is bit-identical to `matmul(a, widened_b)` on the scalar
-    /// backend. Faster backends may hoist the scale out of the inner
-    /// loop (one multiply per row instead of per element), which
-    /// reassociates within the cross-backend tolerance; per backend,
-    /// results stay bit-identical at any thread count.
-    fn matmul_q8(&self, a: &Tensor, bq: &[u8], scales: &[f32], n: usize) -> Tensor {
-        let (m, k) = matmul_q8_check(a, bq, scales, n);
-        let mut out = crate::arena::take_zeroed(m * n);
-        for i in 0..m {
-            let a_row = &a.data()[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let s = scales[p];
-                let b_row = &bq[p * n..(p + 1) * n];
-                for (o, &bb) in o_row.iter_mut().zip(b_row) {
-                    *o += av * ((bb as i8 as i32 as f32) * s);
-                }
-            }
-        }
-        Tensor::from_vec(out, [m, n])
-    }
-}
-
-/// Shared validation for [`Backend::widen_i8_scaled`]: returns the row
-/// length.
-pub(crate) fn widen_i8_check(bytes: &[u8], scales: &[f32], out: &mut [f32]) -> usize {
-    assert_eq!(
-        bytes.len(),
-        out.len(),
-        "widen_i8_scaled: {} bytes cannot fill {} f32s",
-        bytes.len(),
-        out.len()
-    );
-    assert!(
-        !scales.is_empty() && bytes.len().is_multiple_of(scales.len()),
-        "widen_i8_scaled: {} elements do not split into {} scale rows",
-        bytes.len(),
-        scales.len()
-    );
-    bytes.len() / scales.len()
-}
-
-/// Shared validation for [`Backend::matmul_q8`]: returns `(m, k)`.
-pub(crate) fn matmul_q8_check(a: &Tensor, bq: &[u8], scales: &[f32], n: usize) -> (usize, usize) {
-    assert_eq!(a.shape().ndim(), 2, "matmul_q8 lhs must be rank 2");
-    let (m, k) = (a.shape().dim(0), a.shape().dim(1));
-    assert_eq!(
-        bq.len(),
-        k * n,
-        "matmul_q8: {} quantized bytes cannot be [{k}, {n}]",
-        bq.len()
-    );
-    assert_eq!(
-        scales.len(),
-        k,
-        "matmul_q8: {} scales for {k} b-rows",
-        scales.len()
-    );
-    (m, k)
 }
 
 /// The `SPECTRAGAN_BACKEND` knob, sharing the override/env/default

@@ -438,88 +438,6 @@ impl Backend for SimdBackend {
             *v = 0.5 + 0.5 * tanh_approx(0.5 * *v);
         }
     }
-
-    fn widen_i8_scaled(&self, bytes: &[u8], scales: &[f32], out: &mut [f32]) {
-        let row_len = super::widen_i8_check(bytes, scales, out);
-        if row_len == 0 {
-            return;
-        }
-        // Same exact `q · s` expression as the default, row at a time
-        // with a hoisted scale; the per-element conversion and multiply
-        // are unchanged, so results are bit-identical to scalar (the
-        // parity contract for dequantizing widens is exactness). The
-        // plain indexed loop over a fixed-scale row is exactly the
-        // shape the autovectorizer lowers to packed sign-extends +
-        // converts + multiplies.
-        for ((chunk, o_chunk), &s) in bytes
-            .chunks_exact(row_len)
-            .zip(out.chunks_exact_mut(row_len))
-            .zip(scales)
-        {
-            for (&b, o) in chunk.iter().zip(o_chunk) {
-                *o = (b as i8 as i32 as f32) * s;
-            }
-        }
-    }
-
-    fn matmul_q8(&self, a: &Tensor, bq: &[u8], scales: &[f32], n: usize) -> Tensor {
-        let (m, k) = super::matmul_q8_check(a, bq, scales, n);
-        let mut out = Tensor::zeros([m, n]);
-        if out.numel() == 0 || k == 0 {
-            return out;
-        }
-        // One scale multiply per (a-element, b-row) pair: the hoisted
-        // `coef = av · s_p` replaces the per-element `av · (q · s_p)`
-        // of the scalar reference — a reassociation within the
-        // cross-backend tolerance. The inner loop widens i8→i32→f32
-        // and multiply-accumulates, reading the weight stream at 1
-        // byte per element instead of 4. Zero a-elements are skipped
-        // like `gemm_row` (this path only carries inference inputs,
-        // never gradients).
-        crate::pool::par_chunks_mut_macs(out.data_mut(), n, m * k * n, |i, c_row| {
-            let a_row = &a.data()[i * k..(i + 1) * k];
-            for (p, &av) in a_row.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let coef = av * scales[p];
-                let b_row = &bq[p * n..(p + 1) * n];
-                for (c, &qb) in c_row.iter_mut().zip(b_row) {
-                    *c += coef * (qb as i8 as i32 as f32);
-                }
-            }
-        });
-        out
-    }
-
-    fn widen_f16_le(&self, bytes: &[u8], out: &mut [f32]) {
-        assert_eq!(
-            bytes.len(),
-            2 * out.len(),
-            "widen_f16_le: {} bytes cannot fill {} f32s",
-            bytes.len(),
-            out.len()
-        );
-        // Same exact conversion as the default, blocked by 8 so the
-        // fixed-trip inner loops unroll and the loads coalesce; the
-        // conversion itself is bit-identical to scalar (it must be —
-        // the parity contract for f16 widening is exactness, not
-        // tolerance).
-        let mut chunks = bytes.chunks_exact(16);
-        let mut outs = out.chunks_exact_mut(8);
-        for (c, o) in (&mut chunks).zip(&mut outs) {
-            for i in 0..8 {
-                o[i] = crate::f16::f16_to_f32(u16::from_le_bytes([c[2 * i], c[2 * i + 1]]));
-            }
-        }
-        for (o, c) in outs
-            .into_remainder()
-            .iter_mut()
-            .zip(chunks.remainder().chunks_exact(2))
-        {
-            *o = crate::f16::f16_to_f32(u16::from_le_bytes([c[0], c[1]]));
-        }
-    }
 }
 
 /// Branchless rational approximation of `tanh` (the classic

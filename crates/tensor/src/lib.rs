@@ -48,11 +48,9 @@
 pub mod arena;
 pub mod backend;
 pub mod envctl;
-pub mod f16;
 pub mod lstm_seq;
 pub mod ops;
 pub mod pool;
-pub mod q8;
 pub mod shape;
 pub mod stats;
 pub mod tape;

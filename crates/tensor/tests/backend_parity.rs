@@ -374,144 +374,3 @@ fn conv2d_grad_weight_rejects_zero_size_kernel() {
     let x = Tensor::zeros([1, 1, 4, 4]);
     Tensor::conv2d_grad_weight(&go, &x, &Shape::new(&[1, 1, 3, 0]), 1);
 }
-
-/// int8 widening is bit-identical across backends for every one of the
-/// 256 byte patterns at several scales, at lengths exercising both the
-/// blocked body and the remainder tail, and matches the q8 reference
-/// dequantization exactly.
-#[test]
-fn widen_i8_scaled_bitwise_parity_exhaustive() {
-    use spectragan_tensor::backend::scalar::ScalarBackend;
-    use spectragan_tensor::backend::simd::SimdBackend;
-    use spectragan_tensor::backend::Backend;
-
-    for scale in [1.0f32, 0.5, 2.0 / 127.0, 1e-3, 3.7e4] {
-        for rows in [1usize, 2, 4] {
-            let row_len = 256 / rows;
-            let bytes: Vec<u8> = (0..=255u8).collect();
-            let scales: Vec<f32> = (0..rows).map(|r| scale * (r + 1) as f32).collect();
-            let mut scalar = vec![0f32; 256];
-            let mut simd = vec![0f32; 256];
-            ScalarBackend.widen_i8_scaled(&bytes, &scales, &mut scalar);
-            SimdBackend.widen_i8_scaled(&bytes, &scales, &mut simd);
-            for i in 0..256 {
-                assert_eq!(
-                    scalar[i].to_bits(),
-                    simd[i].to_bits(),
-                    "byte {i:#04x} at scale {scale}, {rows} rows"
-                );
-                let expect = (bytes[i] as i8 as i32 as f32) * scales[i / row_len];
-                assert_eq!(scalar[i].to_bits(), expect.to_bits());
-            }
-        }
-    }
-}
-
-/// The scalar dequantizing GEMM is the *definition* of the int8 matmul:
-/// it must be bit-identical to widening the quantized operand and
-/// running the scalar f32 matmul (same skip, same accumulation order).
-/// The simd GEMM hoists the per-row `a·s` coefficient, so it only has
-/// to agree to reassociation tolerance — same contract as f32 matmul.
-#[test]
-fn matmul_q8_scalar_is_bit_identical_to_widen_then_matmul() {
-    use spectragan_tensor::backend::scalar::ScalarBackend;
-    use spectragan_tensor::backend::Backend;
-    use spectragan_tensor::q8;
-
-    let _g = lock();
-    for (m, k, n, seed) in [(1, 1, 1, 1u64), (3, 5, 4, 2), (8, 16, 9, 3), (5, 33, 17, 4)] {
-        let a = randn([m, k], seed);
-        let b = randn([k, n], seed ^ 0x5555);
-        let q = q8::quantize_tensor(b.data(), b.shape());
-        let direct = ScalarBackend.matmul_q8(&a, &q.data, &q.scales, n);
-        let widened = with_backend(BackendKind::Scalar, || {
-            let mut wide = Tensor::zeros([k, n]);
-            ScalarBackend.widen_i8_scaled(&q.data, &q.scales, wide.data_mut());
-            a.matmul(&wide)
-        });
-        assert_eq!(
-            bits(&direct),
-            bits(&widened),
-            "scalar matmul_q8 diverged from its widen+matmul definition at {m}x{k}x{n}"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Dequantizing GEMM parity: Simd vs the Scalar reference across
-    /// random shapes, including zero activations (the `av == 0` skip).
-    #[test]
-    fn matmul_q8_parity(m in 1usize..10, k in 1usize..12, n in 1usize..10, seed in 0u64..1000) {
-        use spectragan_tensor::backend::scalar::ScalarBackend;
-        use spectragan_tensor::backend::simd::SimdBackend;
-        use spectragan_tensor::backend::Backend;
-        use spectragan_tensor::q8;
-
-        let _g = lock();
-        let mut a = randn([m, k], seed);
-        // Sprinkle exact zeros so both backends exercise their skip.
-        for v in a.data_mut().iter_mut().step_by(3) {
-            *v = 0.0;
-        }
-        let b = randn([k, n], seed ^ 0xa8);
-        let q = q8::quantize_tensor(b.data(), b.shape());
-        let ys = ScalarBackend.matmul_q8(&a, &q.data, &q.scales, n);
-        let yv = SimdBackend.matmul_q8(&a, &q.data, &q.scales, n);
-        assert_close(&ys, &yv, "matmul_q8");
-    }
-}
-
-/// Each backend's dequantizing GEMM must be bit-identical to itself at
-/// every thread count — the same determinism contract as conv2d.
-#[test]
-fn matmul_q8_thread_count_bit_equality() {
-    use spectragan_tensor::backend::scalar::ScalarBackend;
-    use spectragan_tensor::backend::simd::SimdBackend;
-    use spectragan_tensor::backend::Backend;
-    use spectragan_tensor::q8;
-
-    let _g = lock();
-    let a = randn([17, 24], 51);
-    let b = randn([24, 19], 52);
-    let q = q8::quantize_tensor(b.data(), b.shape());
-    let run_scalar = || ScalarBackend.matmul_q8(&a, &q.data, &q.scales, 19);
-    let run_simd = || SimdBackend.matmul_q8(&a, &q.data, &q.scales, 19);
-    pool::set_threads(Some(1));
-    let (s1, v1) = (run_scalar(), run_simd());
-    for t in [2, 4, 7] {
-        pool::set_threads(Some(t));
-        assert_eq!(bits(&s1), bits(&run_scalar()), "scalar matmul_q8 @ {t}");
-        assert_eq!(bits(&v1), bits(&run_simd()), "simd matmul_q8 @ {t}");
-    }
-    pool::set_threads(None);
-}
-
-/// f16 widening is *exact* and bit-identical across backends for every
-/// one of the 65536 half patterns, at lengths that exercise both the
-/// blocked body and the remainder tail of the simd loop.
-#[test]
-fn widen_f16_le_bitwise_parity_exhaustive() {
-    use spectragan_tensor::backend::scalar::ScalarBackend;
-    use spectragan_tensor::backend::simd::SimdBackend;
-    use spectragan_tensor::backend::Backend;
-    use spectragan_tensor::f16::f16_to_f32;
-
-    let bytes: Vec<u8> = (0..=u16::MAX).flat_map(|h: u16| h.to_le_bytes()).collect();
-    for len in [0usize, 1, 7, 8, 9, 1000, 65536] {
-        let sub = &bytes[..2 * len];
-        let mut scalar = vec![0f32; len];
-        let mut simd = vec![0f32; len];
-        ScalarBackend.widen_f16_le(sub, &mut scalar);
-        SimdBackend.widen_f16_le(sub, &mut simd);
-        for i in 0..len {
-            assert_eq!(
-                scalar[i].to_bits(),
-                simd[i].to_bits(),
-                "pattern {i:#06x} at len {len}"
-            );
-            assert_eq!(scalar[i].to_bits(), f16_to_f32(i as u16).to_bits());
-        }
-    }
-}
