@@ -15,7 +15,9 @@ use crate::BaselineTrainConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spectragan_geo::{City, ContextMap, TrafficMap};
-use spectragan_nn::{Activation, Adam, Binding, Linear, Lstm, ParamStore, Tape, Tensor, Var};
+use spectragan_nn::{
+    gan_updates, Activation, Adam, Binding, Linear, Lstm, ParamStore, Tape, Tensor, Var,
+};
 
 /// Hyper-parameters.
 #[derive(Debug, Clone, Copy)]
@@ -202,14 +204,9 @@ impl DoppelGangerLite {
             let g_loss = self
                 .disc_logits(&bind, &fake.narrow(1, w0, win), &ctx_var)
                 .bce_with_logits(1.0);
-            let grads_d = tape.backward(&d_loss);
-            let grads_g = tape.backward(&g_loss);
-            let bound = bind.bound();
-            let boundary = self.gen_param_end;
-            let (g_bound, d_bound): (Vec<_>, Vec<_>) =
-                bound.into_iter().partition(|(id, _)| id.index() < boundary);
-            opt_d.step(&mut self.store, &d_bound, &grads_d);
-            opt_g.step(&mut self.store, &g_bound, &grads_g);
+            let (d_updates, g_updates) = gan_updates(&bind, self.gen_param_end, &d_loss, &g_loss);
+            opt_d.apply_updates(&mut self.store, d_updates);
+            opt_g.apply_updates(&mut self.store, g_updates);
         }
     }
 

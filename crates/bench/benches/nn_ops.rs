@@ -1,14 +1,15 @@
 //! Criterion microbenches for the neural substrate: conv2d
-//! forward/backward at model shapes, an LSTM step and a fused LSTM
-//! sequence, and a full SpectraGAN training step.
+//! forward/backward at model shapes, an LSTM step, fused LSTM
+//! sequences of both feeds, the tape-free rollout, and a full
+//! SpectraGAN training step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spectragan_core::{SpectraGan, SpectraGanConfig, TrainConfig};
-use spectragan_nn::{Binding, Conv2d, Lstm, ParamStore};
+use spectragan_nn::{Binding, Conv2d, Linear, Lstm, ParamStore};
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
-use spectragan_tensor::{Tape, Tensor};
+use spectragan_tensor::{pool, Tape, Tensor};
 use std::hint::black_box;
 
 fn bench_conv2d(c: &mut Criterion) {
@@ -54,6 +55,33 @@ fn bench_lstm(c: &mut Criterion) {
             tape.backward(&loss)
         })
     });
+    // The residual generator `G^t`'s train shape: 3 patches of 8×8
+    // pixels, 168 steps through a one-output head, as one fused node.
+    let head = Linear::new(&mut store, 16, 1, &mut rng);
+    c.bench_function("lstm_rollout_168steps_fwd_bwd_192rows", |b| {
+        b.iter(|| {
+            let tape = Tape::new();
+            let bind = Binding::new(&tape, &store);
+            let xw = lstm.precompute_input(&bind, &tape.leaf(x.clone()));
+            let loss = lstm.rollout(&bind, &xw, &head, 168).mean();
+            tape.backward(&loss)
+        })
+    });
+}
+
+/// The tape-free rollout at gen-city's shape (a 40×40 region's 1,600
+/// pixel rows, 336 steps), on one thread so the kernel alone is timed.
+fn bench_rollout_infer(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut store = ParamStore::new();
+    let lstm = Lstm::new(&mut store, 24, 16, &mut rng);
+    let head = Linear::new(&mut store, 16, 1, &mut rng);
+    let xw = Tensor::randn([1600, 24], &mut rng).matmul(store.get(lstm.wx_param()));
+    pool::set_threads(Some(1));
+    c.bench_function("lstm_rollout_infer_336steps_1600rows", |b| {
+        b.iter(|| lstm.rollout_infer(&store, black_box(&xw), &head, 336))
+    });
+    pool::set_threads(None);
 }
 
 fn bench_train_step(c: &mut Criterion) {
@@ -89,6 +117,6 @@ fn bench_train_step(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_conv2d, bench_lstm, bench_train_step
+    targets = bench_conv2d, bench_lstm, bench_rollout_infer, bench_train_step
 }
 criterion_main!(benches);

@@ -20,10 +20,13 @@
 //!
 //! Two checks here *are* hard:
 //!
-//! * the simd backend must beat the scalar reference by at least
-//!   [`MIN_SIMD_CONV_SPEEDUP`]× on the `conv2d_bias_fwd_bwd_27ch_16px`
-//!   microbench — the backend split earns its complexity with that
-//!   speedup, so losing it is a regression;
+//! * the simd backend's `conv2d_bias_fwd_bwd_27ch_16px` microbench must
+//!   take at most [`MAX_SIMD_CONV_US`] µs per iteration — the backend
+//!   split earns its complexity with its conv speed, so losing it is a
+//!   regression. The bound is on Simd's own time rather than a ratio
+//!   to Scalar's: Scalar's conv kernels are vectorized too, and the 2×
+//!   ratio it replaced failed on untouched conv code whenever Scalar
+//!   had a fast run;
 //! * the projected per-step cost of the disabled observability layer
 //!   must stay under [`MAX_DISABLED_OBS_OVERHEAD_PCT`] of a training
 //!   step (measured under the scalar backend, whose step is the
@@ -47,11 +50,11 @@ use std::time::Instant;
 /// step, as a percentage of the step itself.
 const MAX_DISABLED_OBS_OVERHEAD_PCT: f64 = 2.0;
 
-/// Hard floor on the simd-over-scalar speedup of the
-/// `conv2d_bias_fwd_bwd_27ch_16px` microbench.
-const MIN_SIMD_CONV_SPEEDUP: f64 = 2.0;
+/// Hard ceiling on the simd backend's time for the
+/// `conv2d_bias_fwd_bwd_27ch_16px` microbench, in µs per iteration.
+const MAX_SIMD_CONV_US: f64 = 2500.0;
 
-/// The microbench the hard speedup gate keys on.
+/// The microbench the hard conv gate keys on.
 const CONV_GATE_BENCH: &str = "conv2d_bias_fwd_bwd_27ch_16px";
 
 #[derive(Serialize)]
@@ -624,10 +627,9 @@ fn main() {
         .find(|r| r.name == CONV_GATE_BENCH)
         .expect("conv gate bench missing from sweep");
     assert!(
-        conv.speedup >= MIN_SIMD_CONV_SPEEDUP,
-        "simd {CONV_GATE_BENCH} is only {:.2}x over scalar \
-         ({:.1} vs {:.1} us/iter) — under the {MIN_SIMD_CONV_SPEEDUP}x floor",
-        conv.speedup,
+        conv.simd <= MAX_SIMD_CONV_US,
+        "simd {CONV_GATE_BENCH} took {:.1} us/iter (scalar {:.1}) — over the \
+         {MAX_SIMD_CONV_US} us/iter bound",
         conv.simd,
         conv.scalar
     );

@@ -41,7 +41,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spectragan_geo::io::atomic_write;
 use spectragan_geo::{City, ContextMap, PatchLayout, PatchSpec};
-use spectragan_nn::{collect_updates, Adam, Binding, ParamId, ParamStore, Tape, Tensor};
+use spectragan_nn::{gan_updates, Adam, Binding, ParamId, ParamStore, Tape, Tensor};
 use spectragan_obs as obs;
 use spectragan_tensor::{pool, stats};
 use std::path::Path;
@@ -58,7 +58,7 @@ fn guard_retries_counter() -> &'static obs::Counter {
 /// compute phase returns and the apply phase consumes.
 ///
 /// Update lists hold `(parameter, gradient)` in ascending parameter
-/// order, as [`collect_updates`] produces them. That order fixes the
+/// order, as [`spectragan_nn::collect_updates`] produces them. That order fixes the
 /// float summation order of the gradient norms and of the optimizer's
 /// global-norm clip.
 struct StepGrads {
@@ -889,13 +889,8 @@ impl SpectraGan {
 
         // ---- Gradients ----------------------------------------------
         let sp = obs::span_cat("backward", "train");
-        let grads_d = tape.backward(&d_loss);
-        let grads_g = tape.backward(&g_loss);
+        let (d_updates, g_updates) = gan_updates(&bind, self.gen_param_end, &d_loss, &g_loss);
         drop(sp);
-        let bound = bind.bound();
-        let boundary = self.gen_param_end;
-        let (g_bound, d_bound): (Vec<_>, Vec<_>) =
-            bound.into_iter().partition(|(id, _)| id.index() < boundary);
         StepGrads {
             d_loss: dv,
             g_adv: gv,
@@ -903,8 +898,8 @@ impl SpectraGan {
             // Filled in by `compute_grads` after accumulation folds.
             grad_norm_d: 0.0,
             grad_norm_g: 0.0,
-            d_updates: collect_updates(&d_bound, &grads_d),
-            g_updates: collect_updates(&g_bound, &grads_g),
+            d_updates,
+            g_updates,
         }
     }
 }

@@ -45,7 +45,7 @@ pub mod param;
 
 pub use layers::{Activation, Conv2d, Linear, Mlp};
 pub use lstm::{Lstm, LstmState};
-pub use optim::{collect_updates, Adam, AdamParamState, AdamState, Sgd};
+pub use optim::{collect_updates, gan_updates, Adam, AdamParamState, AdamState, Sgd};
 pub use param::{Binding, LazySource, ParamId, ParamStore};
 
 // Re-exported so downstream crates depend on one prelude.

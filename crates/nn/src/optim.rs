@@ -6,10 +6,10 @@
 //! trainer alternates generator and discriminator updates from separate
 //! optimizers over one shared store.
 
-use crate::param::{ParamId, ParamStore};
+use crate::param::{Binding, ParamId, ParamStore};
 use serde::{Deserialize, Serialize};
 use spectragan_obs as obs;
-use spectragan_tensor::{Gradients, Tensor};
+use spectragan_tensor::{Gradients, Tensor, Var};
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -249,6 +249,41 @@ pub fn collect_updates(
         }
     }
     updates
+}
+
+/// `(param, gradient)` pairs in bound order, as [`collect_updates`]
+/// lists them.
+type Updates = Vec<(ParamId, Tensor)>;
+
+/// One GAN step's compute phase over one tape: the parameters `bind`
+/// bound below index `gen_end` are the generator's and get `g_loss`'s
+/// gradients, the rest are the discriminator's and get `d_loss`'s.
+/// Returns `(d_updates, g_updates)` as [`collect_updates`] lists them.
+///
+/// Each backward walks only the nodes that depend on its own network's
+/// parameters ([`Tape::backward_for`](spectragan_tensor::Tape::backward_for)),
+/// so neither computes the other network's gradients, and every
+/// gradient it returns is bit-identical to a whole-graph backward's.
+pub fn gan_updates(
+    bind: &Binding<'_>,
+    gen_end: usize,
+    d_loss: &Var,
+    g_loss: &Var,
+) -> (Updates, Updates) {
+    let (g_bound, d_bound): (Vec<_>, Vec<_>) = bind
+        .bound()
+        .into_iter()
+        .partition(|(id, _)| id.index() < gen_end);
+    let tape = bind.tape();
+    let d_updates = collect_updates(
+        &d_bound,
+        &tape.backward_for(d_loss, d_bound.iter().map(|(_, v)| v)),
+    );
+    let g_updates = collect_updates(
+        &g_bound,
+        &tape.backward_for(g_loss, g_bound.iter().map(|(_, v)| v)),
+    );
+    (d_updates, g_updates)
 }
 
 /// Scales all gradients so their joint L2 norm does not exceed

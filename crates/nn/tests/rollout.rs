@@ -127,6 +127,29 @@ proptest! {
     }
 }
 
+/// A one-patch request (64 rows, hidden 16) of 1 or 12 steps is below
+/// the pool's multiply-add cutoff, so it runs on the calling thread
+/// whatever the pool width; it is the step loop, bit for bit, at 1, 2
+/// and 4 threads.
+#[test]
+fn below_cutoff_rollout_matches_step_loop() {
+    let _g = lock();
+    set_backend(Some(BackendKind::Scalar));
+    let (rows, hidden) = (64, 16);
+    for t_out in [1, 12] {
+        assert!(rows * t_out * (hidden + 1) * 4 * hidden < pool::MIN_PARALLEL_MACS);
+        let c = case(rows, hidden, 11);
+        let want = bits(&step_loop(&c, t_out));
+        for threads in THREADS {
+            assert!(
+                bits(&rollout_at(&c, t_out, threads)) == want,
+                "t_out {t_out} threads {threads}"
+            );
+        }
+    }
+    set_backend(None);
+}
+
 /// Degenerate shapes: no rows or no steps give an empty result.
 #[test]
 fn empty_rollouts_are_empty() {

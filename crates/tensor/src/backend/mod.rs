@@ -369,16 +369,18 @@ pub(crate) fn add_channel_bias_inplace(y: &mut Tensor, bias: &Tensor) {
     }
 }
 
+/// Serializes this crate's unit tests that set or depend on the
+/// global backend override.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the global override.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn override_beats_environment_and_default() {
-        let _g = LOCK.lock().unwrap();
+        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_backend(Some(BackendKind::Simd));
         assert_eq!(kind(), BackendKind::Simd);
         assert_eq!(active().kind(), BackendKind::Simd);

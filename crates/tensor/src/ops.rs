@@ -180,6 +180,45 @@ impl Op {
             Op::LstmSeq { .. } => OpKind::LstmSeq,
         }
     }
+
+    /// Whether `pred` holds for any parent of the node.
+    pub(crate) fn any_parent(&self, pred: impl Fn(usize) -> bool) -> bool {
+        match self {
+            Op::Leaf => false,
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::Matmul(a, b) => {
+                pred(*a) || pred(*b)
+            }
+            Op::AddRowVec { x, b } | Op::AddChannelBias { x, b } => pred(*x) || pred(*b),
+            Op::Scale(x, _)
+            | Op::AddScalar(x)
+            | Op::Sigmoid(x)
+            | Op::Tanh(x)
+            | Op::Relu(x)
+            | Op::LeakyRelu(x, _)
+            | Op::Exp(x)
+            | Op::Softplus(x)
+            | Op::SqrtEps(x)
+            | Op::Abs(x)
+            | Op::Square(x)
+            | Op::Reshape(x)
+            | Op::AvgPool2(x)
+            | Op::Sum(x)
+            | Op::Mean(x)
+            | Op::Clamp { x, .. }
+            | Op::MatmulConst { x, .. }
+            | Op::Permute { x, .. }
+            | Op::Narrow { x, .. }
+            | Op::L1To { x, .. }
+            | Op::MseTo { x, .. }
+            | Op::BceWithLogits { x, .. } => pred(*x),
+            Op::Conv2d { x, w, .. } => pred(*x) || pred(*w),
+            Op::Concat { parts, .. } => parts.iter().any(|&p| pred(p)),
+            Op::MatmulBiasAct { a: x, w, b, .. } | Op::Conv2dBias { x, w, b, .. } => {
+                pred(*x) || pred(*w) || pred(*b)
+            }
+            Op::LstmSeq { input, wh, b, .. } => pred(*wh) || pred(*b) || input.any(pred),
+        }
+    }
 }
 
 /// Numerically stable `ln(1 + e^x)`.
@@ -297,85 +336,96 @@ fn channel_bias_grad(g: &Tensor) -> Tensor {
 }
 
 /// Accumulates a parent contribution with the tape's move-or-add rule
-/// (first writer moves, later writers `add_assign` in visit order).
+/// (first writer moves, later writers `add_assign` in visit order),
+/// computing it only when `need` marks the parent.
 #[inline]
-fn acc(grads: &mut [Option<Tensor>], parent: usize, contrib: Tensor) {
+fn acc(
+    grads: &mut [Option<Tensor>],
+    need: &[bool],
+    parent: usize,
+    contrib: impl FnOnce() -> Tensor,
+) {
+    if !need[parent] {
+        return;
+    }
+    let contrib = contrib();
     match &mut grads[parent] {
         Some(existing) => existing.add_assign(&contrib),
         slot @ None => *slot = Some(contrib),
     }
 }
 
-/// Runs the backward step of node `id`: computes each parent's
+/// Runs the backward step of node `id`: computes each marked parent's
 /// gradient contribution from the upstream gradient `g` and
 /// accumulates it into `grads`, preserving the closure engine's exact
 /// expressions and accumulation order. `values[i]` is node `i`'s
-/// forward value; `values[id]` is this node's own output.
+/// forward value; `values[id]` is this node's own output. A parent
+/// that `need` does not mark gets no contribution, and none is
+/// computed for it.
 pub(crate) fn backward_node(
     op: &Op,
     id: usize,
     values: &[Rc<Tensor>],
     g: &Tensor,
     grads: &mut [Option<Tensor>],
+    need: &[bool],
 ) {
     let val = |i: usize| -> &Tensor { &values[i] };
     match op {
         Op::Leaf => {}
         Op::Add(a, b) => {
-            acc(grads, *a, g.clone());
-            acc(grads, *b, g.clone());
+            acc(grads, need, *a, || g.clone());
+            acc(grads, need, *b, || g.clone());
         }
         Op::Sub(a, b) => {
-            acc(grads, *a, g.clone());
-            acc(grads, *b, g.scale(-1.0));
+            acc(grads, need, *a, || g.clone());
+            acc(grads, need, *b, || g.scale(-1.0));
         }
         Op::Mul(a, b) => {
-            acc(grads, *a, g.mul(val(*b)));
-            acc(grads, *b, g.mul(val(*a)));
+            acc(grads, need, *a, || g.mul(val(*b)));
+            acc(grads, need, *b, || g.mul(val(*a)));
         }
         Op::Div(a, b) => {
-            acc(grads, *a, g.zip(val(*b), |gi, yi| gi / yi));
-            acc(
-                grads,
-                *b,
+            acc(grads, need, *a, || g.zip(val(*b), |gi, yi| gi / yi));
+            acc(grads, need, *b, || {
                 g.zip(val(*a), |gi, xi| gi * xi)
-                    .zip(val(*b), |t, yi| -t / (yi * yi)),
-            );
+                    .zip(val(*b), |t, yi| -t / (yi * yi))
+            });
         }
         Op::Scale(x, s) => {
             let s = *s;
-            acc(grads, *x, g.scale(s));
+            acc(grads, need, *x, || g.scale(s));
         }
-        Op::AddScalar(x) => acc(grads, *x, g.clone()),
+        Op::AddScalar(x) => acc(grads, need, *x, || g.clone()),
         Op::AddRowVec { x, b } => {
-            acc(grads, *x, g.clone());
-            acc(grads, *b, rowvec_bias_grad(g));
+            acc(grads, need, *x, || g.clone());
+            acc(grads, need, *b, || rowvec_bias_grad(g));
         }
         Op::AddChannelBias { x, b } => {
-            acc(grads, *x, g.clone());
-            acc(grads, *b, channel_bias_grad(g));
+            acc(grads, need, *x, || g.clone());
+            acc(grads, need, *b, || channel_bias_grad(g));
         }
-        Op::Sigmoid(x) => acc(grads, *x, g.zip(val(id), |gi, y| gi * y * (1.0 - y))),
-        Op::Tanh(x) => acc(grads, *x, g.zip(val(id), |gi, y| gi * (1.0 - y * y))),
-        Op::Relu(x) => acc(
-            grads,
-            *x,
-            g.zip(val(*x), |gi, xi| if xi > 0.0 { gi } else { 0.0 }),
-        ),
+        Op::Sigmoid(x) => acc(grads, need, *x, || {
+            g.zip(val(id), |gi, y| gi * y * (1.0 - y))
+        }),
+        Op::Tanh(x) => acc(grads, need, *x, || {
+            g.zip(val(id), |gi, y| gi * (1.0 - y * y))
+        }),
+        Op::Relu(x) => acc(grads, need, *x, || {
+            g.zip(val(*x), |gi, xi| if xi > 0.0 { gi } else { 0.0 })
+        }),
         Op::LeakyRelu(x, alpha) => {
             let alpha = *alpha;
-            acc(
-                grads,
-                *x,
-                g.zip(val(*x), |gi, xi| if xi > 0.0 { gi } else { alpha * gi }),
-            );
+            acc(grads, need, *x, || {
+                g.zip(val(*x), |gi, xi| if xi > 0.0 { gi } else { alpha * gi })
+            });
         }
-        Op::Exp(x) => acc(grads, *x, g.mul(val(id))),
-        Op::Softplus(x) => acc(grads, *x, g.zip(val(*x), |gi, xi| gi / (1.0 + (-xi).exp()))),
-        Op::SqrtEps(x) => acc(grads, *x, g.zip(val(id), |gi, y| gi * 0.5 / y)),
-        Op::Abs(x) => acc(
-            grads,
-            *x,
+        Op::Exp(x) => acc(grads, need, *x, || g.mul(val(id))),
+        Op::Softplus(x) => acc(grads, need, *x, || {
+            g.zip(val(*x), |gi, xi| gi / (1.0 + (-xi).exp()))
+        }),
+        Op::SqrtEps(x) => acc(grads, need, *x, || g.zip(val(id), |gi, y| gi * 0.5 / y)),
+        Op::Abs(x) => acc(grads, need, *x, || {
             g.zip(val(*x), |gi, xi| {
                 if xi > 0.0 {
                     gi
@@ -384,36 +434,30 @@ pub(crate) fn backward_node(
                 } else {
                     0.0
                 }
-            }),
-        ),
+            })
+        }),
         Op::Clamp { x, lo, hi } => {
             let (lo, hi) = (*lo, *hi);
-            acc(
-                grads,
-                *x,
-                g.zip(val(*x), |gi, xi| if xi > lo && xi < hi { gi } else { 0.0 }),
-            );
+            acc(grads, need, *x, || {
+                g.zip(val(*x), |gi, xi| if xi > lo && xi < hi { gi } else { 0.0 })
+            });
         }
-        Op::Square(x) => acc(grads, *x, g.zip(val(*x), |gi, xi| 2.0 * gi * xi)),
+        Op::Square(x) => acc(grads, need, *x, || g.zip(val(*x), |gi, xi| 2.0 * gi * xi)),
         Op::Matmul(a, b) => {
-            acc(grads, *a, g.matmul_bt(val(*b)));
-            acc(grads, *b, val(*a).matmul_tb(g));
+            acc(grads, need, *a, || g.matmul_bt(val(*b)));
+            acc(grads, need, *b, || val(*a).matmul_tb(g));
         }
-        Op::MatmulConst { x, m } => acc(grads, *x, g.matmul_bt(m)),
+        Op::MatmulConst { x, m } => acc(grads, need, *x, || g.matmul_bt(m)),
         Op::Conv2d { x, w, pad } => {
-            acc(
-                grads,
-                *x,
-                Tensor::conv2d_grad_input(g, val(*w), val(*x).shape(), *pad),
-            );
-            acc(
-                grads,
-                *w,
-                Tensor::conv2d_grad_weight(g, val(*x), val(*w).shape(), *pad),
-            );
+            acc(grads, need, *x, || {
+                Tensor::conv2d_grad_input(g, val(*w), val(*x).shape(), *pad)
+            });
+            acc(grads, need, *w, || {
+                Tensor::conv2d_grad_weight(g, val(*x), val(*w).shape(), *pad)
+            });
         }
-        Op::Reshape(x) => acc(grads, *x, g.reshape(val(*x).shape().clone())),
-        Op::Permute { x, inverse } => acc(grads, *x, g.permute(inverse)),
+        Op::Reshape(x) => acc(grads, need, *x, || g.reshape(val(*x).shape().clone())),
+        Op::Permute { x, inverse } => acc(grads, need, *x, || g.permute(inverse)),
         Op::AvgPool2(x) => {
             let in_shape = val(*x).shape();
             let (n, c) = (in_shape.dim(0), in_shape.dim(1));
@@ -434,7 +478,7 @@ pub(crate) fn backward_node(
                     }
                 }
             }
-            acc(grads, *x, out);
+            acc(grads, need, *x, || out);
         }
         Op::Narrow { x, axis, start } => {
             // Scatter the slice gradient back into a zero tensor.
@@ -450,31 +494,29 @@ pub(crate) fn backward_node(
                 out.data_mut()[dst..dst + len * inner]
                     .copy_from_slice(&g.data()[src..src + len * inner]);
             }
-            acc(grads, *x, out);
+            acc(grads, need, *x, || out);
         }
         Op::Concat { parts, axis } => {
             let mut start = 0usize;
             for &p in parts {
                 let len = val(p).shape().dim(*axis);
-                acc(grads, p, g.narrow(*axis, start, len));
+                acc(grads, need, p, || g.narrow(*axis, start, len));
                 start += len;
             }
         }
-        Op::Sum(x) => acc(grads, *x, Tensor::full(val(*x).shape().clone(), g.item())),
+        Op::Sum(x) => acc(grads, need, *x, || {
+            Tensor::full(val(*x).shape().clone(), g.item())
+        }),
         Op::Mean(x) => {
             let n = val(*x).numel() as f32;
-            acc(
-                grads,
-                *x,
-                Tensor::full(val(*x).shape().clone(), g.item() / n),
-            );
+            acc(grads, need, *x, || {
+                Tensor::full(val(*x).shape().clone(), g.item() / n)
+            });
         }
         Op::L1To { x, target } => {
             let n = val(*x).numel() as f32;
             let gi = g.item() / n;
-            acc(
-                grads,
-                *x,
+            acc(grads, need, *x, || {
                 val(*x).zip(target, |a, b| {
                     if a > b {
                         gi
@@ -483,49 +525,43 @@ pub(crate) fn backward_node(
                     } else {
                         0.0
                     }
-                }),
-            );
+                })
+            });
         }
         Op::MseTo { x, target } => {
             let n = val(*x).numel() as f32;
             let gi = 2.0 * g.item() / n;
-            acc(grads, *x, val(*x).zip(target, |a, b| gi * (a - b)));
+            acc(grads, need, *x, || val(*x).zip(target, |a, b| gi * (a - b)));
         }
         Op::BceWithLogits { x, y } => {
             let n = val(*x).numel() as f32;
             let gi = g.item() / n;
             let y = *y;
             // d/dx [softplus(x) − y·x] = σ(x) − y.
-            acc(
-                grads,
-                *x,
-                val(*x).map(|xi| gi * (1.0 / (1.0 + (-xi).exp()) - y)),
-            );
+            acc(grads, need, *x, || {
+                val(*x).map(|xi| gi * (1.0 / (1.0 + (-xi).exp()) - y))
+            });
         }
         Op::MatmulBiasAct { a, w, b, act } => {
             let gpre = act_backward(g, val(id), *act);
-            acc(grads, *a, gpre.matmul_bt(val(*w)));
-            acc(grads, *w, val(*a).matmul_tb(&gpre));
-            acc(grads, *b, rowvec_bias_grad(&gpre));
+            acc(grads, need, *a, || gpre.matmul_bt(val(*w)));
+            acc(grads, need, *w, || val(*a).matmul_tb(&gpre));
+            acc(grads, need, *b, || rowvec_bias_grad(&gpre));
         }
         Op::Conv2dBias { x, w, b, pad } => {
-            acc(
-                grads,
-                *x,
-                Tensor::conv2d_grad_input(g, val(*w), val(*x).shape(), *pad),
-            );
-            acc(
-                grads,
-                *w,
-                Tensor::conv2d_grad_weight(g, val(*x), val(*w).shape(), *pad),
-            );
-            acc(grads, *b, channel_bias_grad(g));
+            acc(grads, need, *x, || {
+                Tensor::conv2d_grad_input(g, val(*w), val(*x).shape(), *pad)
+            });
+            acc(grads, need, *w, || {
+                Tensor::conv2d_grad_weight(g, val(*x), val(*w).shape(), *pad)
+            });
+            acc(grads, need, *b, || channel_bias_grad(g));
         }
         Op::LstmSeq {
             input,
             wh,
             b,
             saved,
-        } => crate::lstm_seq::backward(input, *wh, *b, saved, values, g, grads),
+        } => crate::lstm_seq::backward(input, *wh, *b, saved, values, g, grads, need),
     }
 }

@@ -142,6 +142,7 @@ pub fn par_chunks_mut<F>(data: &mut [f32], chunk_len: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    assert_divides(data, chunk_len);
     chunks_mut_on(data, chunk_len, threads(), f);
 }
 
@@ -153,6 +154,18 @@ pub fn par_chunks_mut_macs<F>(data: &mut [f32], chunk_len: usize, macs: usize, f
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
+    assert_divides(data, chunk_len);
+    par_blocks_mut_macs(data, chunk_len, macs, f);
+}
+
+/// [`par_chunks_mut_macs`] whose last tile may be shorter: tile `i`
+/// is `data[i * chunk_len..min((i + 1) * chunk_len, data.len())]`.
+/// Used to hand out blocks of rows when the row count is not a
+/// multiple of the block height.
+pub(crate) fn par_blocks_mut_macs<F>(data: &mut [f32], chunk_len: usize, macs: usize, f: F)
+where
+    F: Fn(usize, &mut [f32]) + Sync,
+{
     let workers = if macs < MIN_PARALLEL_MACS {
         1
     } else {
@@ -161,18 +174,22 @@ where
     chunks_mut_on(data, chunk_len, workers, f);
 }
 
-/// The body of [`par_chunks_mut`] with at most `workers` threads.
+fn assert_divides(data: &[f32], chunk_len: usize) {
+    assert!(
+        chunk_len > 0 && data.len().is_multiple_of(chunk_len),
+        "chunk_len must divide the buffer length"
+    );
+}
+
+/// The body of [`par_chunks_mut`] with at most `workers` threads; the
+/// last tile may be shorter than `chunk_len`.
 fn chunks_mut_on<F>(data: &mut [f32], chunk_len: usize, workers: usize, f: F)
 where
     F: Fn(usize, &mut [f32]) + Sync,
 {
     assert!(chunk_len > 0, "chunk_len must be positive");
-    assert_eq!(
-        data.len() % chunk_len,
-        0,
-        "chunk_len must divide the buffer length"
-    );
-    let n_chunks = data.len() / chunk_len;
+    let len = data.len();
+    let n_chunks = len.div_ceil(chunk_len);
     if obs::enabled() {
         metrics().tasks.inc(n_chunks as u64);
     }
@@ -194,13 +211,17 @@ where
                     if i >= n_chunks {
                         break;
                     }
-                    // SAFETY: tile i covers i*chunk_len..(i+1)*chunk_len,
-                    // within bounds by construction; the atomic counter
-                    // hands each index to exactly one worker, so tiles
-                    // never alias, and the scope keeps `data` borrowed
-                    // for the whole run.
+                    let start = i * chunk_len;
+                    // SAFETY: tile i covers start..min(start + chunk_len,
+                    // len), within bounds since i < n_chunks; the atomic
+                    // counter hands each index to exactly one worker, so
+                    // tiles never alias, and the scope keeps `data`
+                    // borrowed for the whole run.
                     let tile = unsafe {
-                        std::slice::from_raw_parts_mut(base.0.add(i * chunk_len), chunk_len)
+                        std::slice::from_raw_parts_mut(
+                            base.0.add(start),
+                            chunk_len.min(len - start),
+                        )
                     };
                     f(i, tile);
                 }
@@ -442,6 +463,11 @@ mod tests {
         set_threads(Some(1));
         let mut serial = vec![0.0f32; 60];
         par_chunks_mut(&mut serial, 5, fill);
+        // A shorter last tile, as `par_blocks_mut_macs` hands out.
+        let mut ragged = vec![0.0f32; 58];
+        for (i, chunk) in ragged.chunks_mut(5).enumerate() {
+            fill(i, chunk);
+        }
         for t in [2, 4, 7] {
             set_threads(Some(t));
             let mut parallel = vec![0.0f32; 60];
@@ -452,6 +478,9 @@ mod tests {
                 let mut sized = vec![0.0f32; 60];
                 par_chunks_mut_macs(&mut sized, 5, macs, fill);
                 assert_eq!(sized, serial, "threads={t} macs={macs}");
+                let mut blocks = vec![0.0f32; 58];
+                par_blocks_mut_macs(&mut blocks, 5, macs, fill);
+                assert_eq!(blocks, ragged, "ragged, threads={t} macs={macs}");
             }
         }
         set_threads(None);

@@ -120,6 +120,47 @@ impl Tape {
     /// # Panics
     /// Panics if `root` is not scalar or belongs to another tape.
     pub fn backward(self: &Rc<Self>, root: &Var) -> Gradients {
+        self.walk(root, &vec![true; root.id + 1])
+    }
+
+    /// [`Tape::backward`] for the gradients of the `wrt` vars alone.
+    ///
+    /// Only nodes that depend on a `wrt` var are walked, and a node's
+    /// backward computes no contribution to a parent that does not: a
+    /// skipped node has no path to a `wrt` var, so every requested
+    /// gradient is bit-identical to [`Tape::backward`]'s. Gradients of
+    /// the nodes that were not walked read `None`.
+    ///
+    /// # Panics
+    /// As [`Tape::backward`], and if a `wrt` var belongs to another tape.
+    pub fn backward_for<'v>(
+        self: &Rc<Self>,
+        root: &Var,
+        wrt: impl IntoIterator<Item = &'v Var>,
+    ) -> Gradients {
+        let mut need = vec![false; root.id + 1];
+        for v in wrt {
+            assert!(
+                Rc::ptr_eq(self, &v.tape),
+                "backward_for called with a Var from a different tape"
+            );
+            if let Some(n) = need.get_mut(v.id) {
+                *n = true;
+            }
+        }
+        {
+            let nodes = self.nodes.borrow();
+            for id in 0..need.len() {
+                if !need[id] {
+                    need[id] = nodes[id].op.any_parent(|p| need[p]);
+                }
+            }
+        }
+        self.walk(root, &need)
+    }
+
+    /// The reverse walk from `root` over the nodes `need` marks.
+    fn walk(self: &Rc<Self>, root: &Var, need: &[bool]) -> Gradients {
         assert!(
             Rc::ptr_eq(self, &root.tape),
             "backward called with a Var from a different tape"
@@ -139,15 +180,18 @@ impl Tape {
 
         let instrument = stats::enabled();
         for id in (0..=root.id).rev() {
+            if !need[id] {
+                continue;
+            }
             let Some(grad_out) = grads[id].take() else {
                 continue;
             };
             let op = &nodes[id].op;
             if instrument {
                 let _scope = stats::bwd(op.kind());
-                ops::backward_node(op, id, &values, &grad_out, &mut grads);
+                ops::backward_node(op, id, &values, &grad_out, &mut grads, need);
             } else {
-                ops::backward_node(op, id, &values, &grad_out, &mut grads);
+                ops::backward_node(op, id, &values, &grad_out, &mut grads, need);
             }
             grads[id] = Some(grad_out);
         }
@@ -1091,6 +1135,81 @@ mod tests {
                     .collect()
             };
             assert_eq!(run(true), run(false), "pad {pad} diverges");
+        }
+    }
+
+    /// `backward_for` on a graph shaped like a GAN train step: a
+    /// generator encoder (`conv2d_bias`) on a data leaf feeds both the
+    /// generator's projected LSTM and, as context, the discriminator's
+    /// series LSTM; the discriminator also has an encoder of its own on
+    /// the data leaf, and scores a real leaf, a detached fake leaf and
+    /// the fake itself through `matmul_bias_act` heads. Each loss's
+    /// gradients for its own network's parameters must be bit-equal to
+    /// the whole-graph backward's, and the data leaf must get none.
+    #[test]
+    fn backward_for_matches_backward_on_a_gan_step() {
+        let mut r = rng();
+        let (steps, hs, ch) = (7usize, 5usize, 3usize);
+        let tape = Tape::new();
+        let mut leaf = |shape: &[usize], scale: f32| {
+            tape.leaf(Tensor::randn(shape.to_vec(), &mut r).scale(scale))
+        };
+        let data = leaf(&[1, 2, 3, 3], 1.0);
+        let real = leaf(&[9, steps], 1.0);
+        let gen = [
+            leaf(&[ch, 2, 3, 3], 0.4),
+            leaf(&[ch], 0.1),
+            leaf(&[ch, 4 * hs], 0.5),
+            leaf(&[4 * hs], 0.1),
+            leaf(&[hs, 4 * hs], 0.5),
+            leaf(&[4 * hs], 0.1),
+            leaf(&[hs, 1], 0.5),
+            leaf(&[1], 0.1),
+        ];
+        let disc = [
+            leaf(&[2, 2, 3, 3], 0.4),
+            leaf(&[2], 0.1),
+            leaf(&[1 + ch, 4 * hs], 0.5),
+            leaf(&[hs, 4 * hs], 0.5),
+            leaf(&[4 * hs], 0.1),
+            leaf(&[hs + 2, 1], 0.5),
+            leaf(&[1], 0.1),
+        ];
+        let rows = |x: &Var, c: usize| x.permute(&[0, 2, 3, 1]).reshape([9, c]);
+        let ctx = rows(&data.conv2d_bias(&gen[0], &gen[1], 1).tanh(), ch);
+        let xw = ctx.matmul_bias_act(&gen[2], &gen[3], FusedAct::Identity);
+        let fake = xw.lstm_rollout(&gen[4], &gen[5], &gen[6], &gen[7], steps);
+        let fake_det = tape.leaf(fake.value().as_ref().clone());
+        let d_feat = rows(&data.conv2d_bias(&disc[0], &disc[1], 1), 2);
+        let score = |series: &Var| {
+            let h = series.lstm_last_hidden(&ctx, &disc[2], &disc[3], &disc[4]);
+            Var::concat(&[h, d_feat.clone()], 1).matmul_bias_act(
+                &disc[5],
+                &disc[6],
+                FusedAct::Identity,
+            )
+        };
+        let d_loss = score(&real)
+            .bce_with_logits(1.0)
+            .add(&score(&fake_det).bce_with_logits(0.0));
+        let g_loss = score(&fake)
+            .bce_with_logits(1.0)
+            .add(&fake.l1_to(&real.value()).scale(10.0));
+        let bits = |t: Option<&Tensor>| -> Vec<u32> {
+            t.expect("a gradient")
+                .data()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect()
+        };
+        for (loss, params) in [(&d_loss, &disc[..]), (&g_loss, &gen[..])] {
+            let all = tape.backward(loss);
+            let some = tape.backward_for(loss, params);
+            for (k, p) in params.iter().enumerate() {
+                assert_eq!(bits(some.get(p)), bits(all.get(p)), "parameter {k}");
+            }
+            assert!(all.get(&data).is_some());
+            assert!(some.get(&data).is_none(), "the data leaf got a gradient");
         }
     }
 
