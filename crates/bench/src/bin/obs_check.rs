@@ -18,8 +18,11 @@
 //!   `# TYPE` kind is known, histogram `_bucket` rows are cumulative
 //!   (monotone) and the `+Inf` bucket equals `_count`.
 //! * log — every line parses as a JSON object with a numeric `step`,
-//!   and at least one record embeds a non-empty `spans` array whose
-//!   entries carry `path`/`calls`/`nanos`.
+//!   at least one record embeds a non-empty `spans` array whose
+//!   entries carry `path`/`calls`/`nanos`, and at least one embeds an
+//!   `op_stats` table whose rows carry `op`/`fwd_calls`/`fwd_nanos`/
+//!   `bwd_calls`/`bwd_nanos`, with some row called both forward and
+//!   backward.
 
 use serde::Value;
 
@@ -181,6 +184,8 @@ fn check_log(path: &str) -> String {
     let text = read(path);
     let mut records = 0usize;
     let mut with_spans = 0usize;
+    let mut with_ops = 0usize;
+    let mut fwd_and_bwd = false;
     for (ln, line) in text.lines().enumerate() {
         let v: Value = serde_json::from_str(line)
             .unwrap_or_else(|e| fail(format!("{path}:{}: not valid JSON: {e}", ln + 1)));
@@ -202,6 +207,26 @@ fn check_log(path: &str) -> String {
             }
             with_spans += 1;
         }
+        if let Some(Value::Arr(rows)) = v.get("op_stats") {
+            for r in rows {
+                let field = |key: &str| {
+                    num(r.get(key)).unwrap_or_else(|| {
+                        fail(format!(
+                            "{path}:{}: op_stats row lacks {key}: {r:?}",
+                            ln + 1
+                        ))
+                    })
+                };
+                if !matches!(r.get("op"), Some(Value::Str(_))) {
+                    fail(format!("{path}:{}: op_stats row lacks op: {r:?}", ln + 1));
+                }
+                let (fwd, bwd) = (field("fwd_calls"), field("bwd_calls"));
+                field("fwd_nanos");
+                field("bwd_nanos");
+                fwd_and_bwd |= fwd > 0.0 && bwd > 0.0;
+            }
+            with_ops += 1;
+        }
     }
     if records == 0 {
         fail(format!("{path}: no records"));
@@ -209,7 +234,17 @@ fn check_log(path: &str) -> String {
     if with_spans == 0 {
         fail(format!("{path}: no record embeds a spans array"));
     }
-    format!("log {path}: {records} records, {with_spans} with span aggregates")
+    if with_ops == 0 {
+        fail(format!("{path}: no record embeds an op_stats table"));
+    }
+    if !fwd_and_bwd {
+        fail(format!(
+            "{path}: no op_stats row has both forward and backward calls"
+        ));
+    }
+    format!(
+        "log {path}: {records} records, {with_spans} with span aggregates, {with_ops} with op tables"
+    )
 }
 
 fn main() {

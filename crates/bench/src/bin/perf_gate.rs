@@ -290,6 +290,10 @@ fn train_gate() -> TrainGate {
 /// `sites × ns/probe` under [`MAX_DISABLED_OBS_OVERHEAD_PCT`] of the
 /// measured disabled-mode step. Off-vs-on step times are reported as
 /// an informative cross-check only.
+///
+/// Tape ops are obs spans too (one per forward op and one per node the
+/// backward walks), so they count among the emitted spans; the per-op
+/// probes they replaced were never counted.
 fn obs_gate(ms_per_step_off: f64) -> ObsGate {
     assert!(!obs::enabled(), "gate must start with obs disabled");
 

@@ -232,8 +232,9 @@ pub fn cmd_train(args: &Args) -> Result<(), String> {
             .get_parsed("abort-at-step", 0usize, "integer")
             .map(|s| if s == 0 { None } else { Some(s) })
             .map_err(|e| e.to_string())?,
-        op_stats: args.switch("op-stats"),
-        obs: false,
+        // --op-stats is the obs layer without a trace or snapshot file:
+        // the per-op table and span aggregates ride in train_log.jsonl.
+        obs: args.switch("op-stats"),
         trace: args.get("trace").map(Path::new),
         metrics_snapshot: args.get("metrics-snapshot").map(Path::new),
         // Accumulation is part of the step arithmetic: a resumed run
@@ -565,8 +566,9 @@ the full state (weights, optimizer moments, loss traces) every
 bit-identical to an uninterrupted run. Steps whose loss goes NaN/inf or
 whose gradient norm exceeds --guard-grad-norm are skipped, logged, and
 retried with a re-rolled RNG lane (at most --guard-max-retries times).
---op-stats adds a per-op instrumentation table (call counts, wall time,
-buffer-pool traffic) to every train_log.jsonl record.
+--op-stats adds a per-op table (forward and backward call counts and wall
+time) and the step's span aggregates to every train_log.jsonl record, and
+drops metrics.prom in the run dir; --trace and --metrics-snapshot do too.
 
 Gradient accumulation: --grad-accum K averages K minibatch gradients
 per optimizer step (K is checkpointed and must match on resume).

@@ -11,6 +11,13 @@ use spectragan_geo::io::save_context;
 use spectragan_geo::ContextMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Mutex;
+
+/// The obs layer's enable flag is process-wide, and `ObsGuard` restores
+/// the previous state when a run ends: one obs-on run ending would
+/// switch the layer off under another. Tests that train with obs on
+/// hold this lock.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// A subcommand entry point.
 type Cmd = fn(&Args) -> Result<(), String>;
@@ -188,10 +195,11 @@ fn interrupted_training_resumes_to_identical_weights() {
     assert_eq!(a, b, "resumed model file differs from the straight run");
 }
 
-/// `--op-stats` adds a per-op instrumentation table to every step's
-/// log record; without the flag the field stays null.
+/// `--op-stats` adds a per-op table and the span aggregates to every
+/// step's log record; without the flag both fields stay null.
 #[test]
 fn op_stats_flag_populates_train_log() {
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let data = tmp("opstats_data");
     let model = tmp("opstats_model.json");
     let run_dir = tmp("opstats_run");
@@ -224,11 +232,25 @@ fn op_stats_flag_populates_train_log() {
             line.contains("\"op_stats\":["),
             "record lacks op_stats table: {line}"
         );
+        assert!(line.contains("\"spans\":["), "record lacks spans: {line}");
         // The fused linear kernel must show up with forward *and*
         // backward activity.
-        assert!(line.contains("\"matmul_bias_act\""), "{line}");
-        assert!(line.contains("\"bwd_calls\""), "{line}");
+        let record: serde::Value = serde_json::from_str(line).unwrap();
+        let Some(serde::Value::Arr(rows)) = record.get("op_stats") else {
+            panic!("op_stats is not an array: {line}");
+        };
+        let row = rows
+            .iter()
+            .find(|r| r.get("op") == Some(&serde::Value::Str("matmul_bias_act".into())))
+            .unwrap_or_else(|| panic!("no matmul_bias_act row: {line}"));
+        for key in ["fwd_calls", "bwd_calls"] {
+            assert!(
+                matches!(row.get(key), Some(serde::Value::Num(n)) if *n > 0.0),
+                "matmul_bias_act {key} is not positive: {line}"
+            );
+        }
     }
+    assert!(run_dir.join("metrics.prom").exists());
 
     // Without the flag, the table is absent (null).
     let run_dir2 = tmp("opstats_off_run");
@@ -245,20 +267,21 @@ fn op_stats_flag_populates_train_log() {
     .unwrap();
     let log = std::fs::read_to_string(run_dir2.join("train_log.jsonl")).unwrap();
     assert!(
-        log.contains("\"op_stats\":null"),
-        "disabled run should serialize op_stats as null: {log}"
+        log.contains("\"op_stats\":null") && log.contains("\"spans\":null"),
+        "disabled run should serialize op_stats and spans as null: {log}"
     );
 }
 
 /// `--trace` and `--metrics-snapshot` write their artifacts for both
 /// train and generate, train drops metrics.prom in the run dir, and
-/// the per-step log records carry span aggregates.
+/// the per-step log records carry span aggregates and op tables.
 ///
 /// The obs toggle is process-global and other tests in this binary
 /// train concurrently, so their spans may ride along in the trace —
 /// assertions here are existence/shape only, not event counts.
 #[test]
 fn trace_and_metrics_snapshot_flags_write_artifacts() {
+    let _obs = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let data = tmp("obs_data");
     let model = tmp("obs_model.json");
     let run_dir = tmp("obs_run");
@@ -301,8 +324,9 @@ fn trace_and_metrics_snapshot_flags_write_artifacts() {
     assert!(run_dir.join("metrics.prom").exists());
     let log = std::fs::read_to_string(run_dir.join("train_log.jsonl")).unwrap();
     assert!(
-        log.lines().all(|l| l.contains("\"spans\":[")),
-        "obs-on log records must embed span aggregates:\n{log}"
+        log.lines()
+            .all(|l| l.contains("\"spans\":[") && l.contains("\"op_stats\":[")),
+        "obs-on log records must embed span aggregates and op tables:\n{log}"
     );
 
     run(

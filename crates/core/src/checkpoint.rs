@@ -33,8 +33,7 @@ use serde::Serialize;
 use spectragan_geo::io::{atomic_write, encode_checked, read_checked_frame};
 use spectragan_nn::{AdamState, ParamStore};
 use spectragan_obs as obs;
-use spectragan_obs::SpanStat;
-use spectragan_tensor::OpStatEntry;
+use spectragan_obs::{OpStat, SpanStat};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
@@ -341,9 +340,11 @@ pub struct LogRecord {
     pub grad_accum: usize,
     /// Divergence-guard annotation (`None` for a healthy step).
     pub event: Option<String>,
-    /// Per-op instrumentation for this step (only with `--op-stats`;
-    /// serializes as `null` when absent).
-    pub op_stats: Option<Vec<OpStatEntry>>,
+    /// Per-op forward/backward calls and time for this step attempt
+    /// (only when the obs layer is on; serializes as `null` when
+    /// absent). Rows of older logs carry `backend`, `fresh_bytes` and
+    /// `reused_bytes` too; those keys are ignored.
+    pub op_stats: Option<Vec<OpStat>>,
     /// Aggregated observability span tree for this step attempt (only
     /// when the obs layer is on; serializes as `null` when absent).
     pub spans: Option<Vec<SpanStat>>,
@@ -387,7 +388,7 @@ impl serde::Deserialize for LogRecord {
                 _ => None,
             },
             op_stats: match v.get("op_stats") {
-                Some(arr @ serde::Value::Arr(_)) => Some(Vec::<OpStatEntry>::from_value(arr)?),
+                Some(arr @ serde::Value::Arr(_)) => Some(Vec::<OpStat>::from_value(arr)?),
                 _ => None,
             },
             spans: match v.get("spans") {
@@ -677,6 +678,53 @@ mod tests {
         assert!(!line.contains("shards"), "{line}");
         let back: LogRecord = serde_json::from_str(&line).unwrap();
         assert_eq!(back.grad_accum, 2);
+    }
+
+    /// A `--op-stats` record as releases with a separate op-stats
+    /// table wrote it: every row also carries `backend`, `fresh_bytes`
+    /// and `reused_bytes`, and an `other` row holds pool traffic outside
+    /// any op with zero calls. It reads back with every call count and
+    /// time intact, and the extra keys are ignored.
+    #[test]
+    fn parent_format_op_stats_lines_still_deserialize() {
+        let line = r#"{"step":0,"d_loss":2.859004497528076,"g_adv":1.4898388385772705,
+            "l1":0.5968801379203796,"grad_norm_d":1.1106395721435547,
+            "grad_norm_g":24.34410858154297,"wall_ms":101.482288,"backend":"scalar",
+            "grad_accum":1,"event":null,"op_stats":[
+            {"op":"leaf","backend":"scalar","fwd_calls":0,"fwd_nanos":0,"bwd_calls":28,
+             "bwd_nanos":3205,"fresh_bytes":0,"reused_bytes":0},
+            {"op":"narrow","backend":"scalar","fwd_calls":3,"fwd_nanos":51200,"bwd_calls":1,
+             "bwd_nanos":20480,"fresh_bytes":239616,"reused_bytes":0},
+            {"op":"matmul_bias_act","backend":"scalar","fwd_calls":10,"fwd_nanos":1707311,
+             "bwd_calls":10,"bwd_nanos":2803372,"fresh_bytes":839032,"reused_bytes":61440},
+            {"op":"lstm_seq","backend":"scalar","fwd_calls":4,"fwd_nanos":42811904,
+             "bwd_calls":4,"bwd_nanos":22302720,"fresh_bytes":40023456,"reused_bytes":0},
+            {"op":"other","backend":"scalar","fwd_calls":0,"fwd_nanos":0,"bwd_calls":0,
+             "bwd_nanos":0,"fresh_bytes":1256000,"reused_bytes":38064}],"spans":null}"#;
+        let r: LogRecord = serde_json::from_str(line).unwrap();
+        let rows = r.op_stats.expect("the op table survives");
+        let calls: Vec<(&str, u64, u64)> = rows
+            .iter()
+            .map(|e| (e.op.as_str(), e.fwd_calls, e.bwd_calls))
+            .collect();
+        assert_eq!(
+            calls,
+            [
+                ("leaf", 0, 28),
+                ("narrow", 3, 1),
+                ("matmul_bias_act", 10, 10),
+                ("lstm_seq", 4, 4),
+                ("other", 0, 0),
+            ]
+        );
+        assert_eq!((rows[3].fwd_nanos, rows[3].bwd_nanos), (42811904, 22302720));
+        assert!(r.spans.is_none());
+        // Rewritten, a row carries only the fields the table keeps.
+        let back = serde_json::to_string(&rows[0]).unwrap();
+        assert!(
+            !back.contains("fresh_bytes") && !back.contains("backend"),
+            "{back}"
+        );
     }
 
     /// Checkpoints without `grad_accum` load with it defaulting to 1;

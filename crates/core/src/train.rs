@@ -43,7 +43,7 @@ use spectragan_geo::io::atomic_write;
 use spectragan_geo::{City, ContextMap, PatchLayout, PatchSpec};
 use spectragan_nn::{gan_updates, Adam, Binding, ParamId, ParamStore, Tape, Tensor};
 use spectragan_obs as obs;
-use spectragan_tensor::{pool, stats};
+use spectragan_tensor::pool;
 use std::path::Path;
 use std::rc::Rc;
 use std::sync::{Mutex, OnceLock};
@@ -127,15 +127,12 @@ pub struct TrainOptions<'a> {
     /// (as an OOM-kill would) immediately after this many steps
     /// complete — after the step's checkpoint, if one is due.
     pub abort_at_step: Option<usize>,
-    /// Enable per-op instrumentation: each step's log record carries a
-    /// table of per-op-kind call counts, wall time and buffer-pool
-    /// traffic. Off by default — disabled instrumentation costs one
-    /// relaxed atomic load per op.
-    pub op_stats: bool,
     /// Enable the unified observability layer for this run without
     /// writing extra files: every log record carries the step's
-    /// aggregated span tree, and `metrics.prom` is written to the run
-    /// directory at the end. Implied by `trace`/`metrics_snapshot`.
+    /// aggregated span tree and its per-op table (`op_stats`), and
+    /// `metrics.prom` is written to the run directory at the end.
+    /// Implied by `trace`/`metrics_snapshot`. Off by default — the
+    /// disabled layer costs one relaxed atomic load per site.
     pub obs: bool,
     /// Write a Chrome trace-event JSON file of the whole run here
     /// (loadable in `chrome://tracing` / Perfetto). Implies `obs`.
@@ -159,7 +156,6 @@ impl Default for TrainOptions<'_> {
             guard_grad_norm: 1e4,
             guard_max_retries: 3,
             abort_at_step: None,
-            op_stats: false,
             obs: false,
             trace: None,
             metrics_snapshot: None,
@@ -173,18 +169,6 @@ impl TrainOptions<'_> {
     /// run.
     fn obs_on(&self) -> bool {
         self.obs || self.trace.is_some() || self.metrics_snapshot.is_some()
-    }
-}
-
-/// Turns op instrumentation off again when training exits (including
-/// early error returns).
-struct StatsGuard(bool);
-
-impl Drop for StatsGuard {
-    fn drop(&mut self) {
-        if self.0 {
-            stats::set_enabled(false);
-        }
     }
 }
 
@@ -520,11 +504,6 @@ impl SpectraGan {
             }
         }
         let cfg = self.cfg;
-        let _stats_guard = StatsGuard(opts.op_stats);
-        if opts.op_stats {
-            stats::set_enabled(true);
-            stats::take_table(); // drop counters from before this run
-        }
         // Chrome-trace export needs the raw events of the whole run;
         // span stats per step only need that step's batch.
         let mut trace_events: Vec<obs::SpanEvent> = Vec::new();
@@ -568,15 +547,19 @@ impl SpectraGan {
                 }
                 drop(sp_step);
                 let wall_ms = step_start.elapsed().as_secs_f64() * 1e3;
-                let op_stats = opts.op_stats.then(stats::take_table);
-                let spans = obs_on.then(|| {
+                let (op_stats, spans) = if obs_on {
                     let events = obs::drain_events();
-                    let aggregated = obs::aggregate_spans(&events);
+                    let tables = (
+                        Some(obs::op_table(&events)),
+                        Some(obs::aggregate_spans(&events)),
+                    );
                     if opts.trace.is_some() {
                         trace_events.extend(events);
                     }
-                    aggregated
-                });
+                    tables
+                } else {
+                    (None, None)
+                };
                 match &outcome.reason {
                     Some(reason) => {
                         // The update was NOT applied: weights and
@@ -921,7 +904,7 @@ impl StepOutcome {
         step: usize,
         wall_ms: f64,
         event: Option<String>,
-        op_stats: Option<Vec<spectragan_tensor::OpStatEntry>>,
+        op_stats: Option<Vec<obs::OpStat>>,
         spans: Option<Vec<obs::SpanStat>>,
         opts: &TrainOptions<'_>,
     ) -> LogRecord {

@@ -3,6 +3,8 @@
 //! * [`aggregate_spans`] — collapses raw events into per-path
 //!   call/time totals, the compact form embedded in each
 //!   `train_log.jsonl` record.
+//! * [`op_table`] — folds tape-op events into per-op forward/backward
+//!   call/time rows, the record's `op_stats` table.
 //! * [`prometheus_snapshot`] — Prometheus text exposition of every
 //!   registered metric (cumulative `_bucket{le=…}` rows for
 //!   histograms).
@@ -10,7 +12,7 @@
 //!   events) loadable in `chrome://tracing` / Perfetto.
 
 use crate::metrics::{bucket_upper_bound, metrics_snapshot, MetricKind, HIST_BUCKETS};
-use crate::span::SpanEvent;
+use crate::span::{SpanEvent, OP_BWD, OP_FWD};
 use serde::{Deserialize, Serialize, Value};
 use serde_json::json;
 use std::collections::BTreeMap;
@@ -28,13 +30,20 @@ pub struct SpanStat {
     pub nanos: u64,
 }
 
+/// Whether `ev` is a tape op's forward or backward span.
+fn is_op(ev: &SpanEvent) -> bool {
+    ev.cat == OP_FWD || ev.cat == OP_BWD
+}
+
 /// Collapses a drained event batch into per-path totals, sorted by
 /// path. A span whose parent is missing from the batch is treated as
 /// a root (this happens when a parent is still live at drain time).
+/// Tape-op events are left out, rows and path segments alike: they
+/// belong to [`op_table`].
 pub fn aggregate_spans(events: &[SpanEvent]) -> Vec<SpanStat> {
     let by_id: BTreeMap<u64, &SpanEvent> = events.iter().map(|e| (e.id, e)).collect();
     let mut totals: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    for ev in events {
+    for ev in events.iter().filter(|e| !is_op(e)) {
         let mut names = vec![ev.name];
         let mut parent = ev.parent;
         // Parent chains are strictly older span ids, so this walk
@@ -43,7 +52,9 @@ pub fn aggregate_spans(events: &[SpanEvent]) -> Vec<SpanStat> {
         while parent != 0 && hops <= events.len() {
             match by_id.get(&parent) {
                 Some(p) => {
-                    names.push(p.name);
+                    if !is_op(p) {
+                        names.push(p.name);
+                    }
                     parent = p.parent;
                 }
                 None => break,
@@ -60,6 +71,42 @@ pub fn aggregate_spans(events: &[SpanEvent]) -> Vec<SpanStat> {
         .into_iter()
         .map(|(path, (calls, nanos))| SpanStat { path, calls, nanos })
         .collect()
+}
+
+/// One op's row of a step's `op_stats` table. Serialized into
+/// `train_log.jsonl`.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OpStat {
+    /// Op name, shared by its forward and backward spans.
+    pub op: String,
+    /// Forward invocations.
+    pub fwd_calls: u64,
+    /// Nanoseconds spent in forward invocations.
+    pub fwd_nanos: u64,
+    /// Backward invocations (one per walked tape node).
+    pub bwd_calls: u64,
+    /// Nanoseconds spent in backward invocations.
+    pub bwd_nanos: u64,
+}
+
+/// Folds the [`OP_FWD`] and [`OP_BWD`] events of a drained batch into
+/// one row per op name, sorted by name. Other categories are ignored.
+pub fn op_table(events: &[SpanEvent]) -> Vec<OpStat> {
+    let mut rows: BTreeMap<&str, OpStat> = BTreeMap::new();
+    for ev in events.iter().filter(|e| is_op(e)) {
+        let row = rows.entry(ev.name).or_insert_with(|| OpStat {
+            op: ev.name.to_string(),
+            ..OpStat::default()
+        });
+        if ev.cat == OP_FWD {
+            row.fwd_calls += 1;
+            row.fwd_nanos += ev.dur_ns;
+        } else {
+            row.bwd_calls += 1;
+            row.bwd_nanos += ev.dur_ns;
+        }
+    }
+    rows.into_values().collect()
 }
 
 /// Renders every registered metric in Prometheus text exposition
@@ -145,9 +192,13 @@ mod tests {
     use crate::set_enabled;
 
     fn ev(name: &'static str, id: u64, parent: u64, dur: u64) -> SpanEvent {
+        ev_cat(name, "t", id, parent, dur)
+    }
+
+    fn ev_cat(name: &'static str, cat: &'static str, id: u64, parent: u64, dur: u64) -> SpanEvent {
         SpanEvent {
             name,
-            cat: "t",
+            cat,
             id,
             parent,
             tid: 1,
@@ -171,6 +222,48 @@ mod tests {
         assert_eq!((step.calls, step.nanos), (1, 100));
         // Missing parent ⇒ treated as root.
         assert!(stats.iter().any(|s| s.path == "orphan_child"));
+    }
+
+    #[test]
+    fn op_table_splits_directions_and_sorts_by_name() {
+        let events = [
+            ev("train_step", 1, 0, 1000),
+            ev_cat("tanh", OP_FWD, 2, 1, 10),
+            ev_cat("matmul", OP_FWD, 3, 1, 20),
+            ev_cat("tanh", OP_FWD, 4, 1, 30),
+            ev_cat("backward", "train", 5, 1, 500),
+            ev_cat("tanh", OP_BWD, 6, 5, 7),
+            ev_cat("leaf", OP_BWD, 7, 5, 1),
+            ev_cat("matmul", "not_an_op", 8, 1, 999),
+        ];
+        let table = op_table(&events);
+        let names: Vec<&str> = table.iter().map(|r| r.op.as_str()).collect();
+        assert_eq!(names, ["leaf", "matmul", "tanh"]);
+        let row = |op: &str| table.iter().find(|r| r.op == op).unwrap().clone();
+        let tanh = row("tanh");
+        assert_eq!((tanh.fwd_calls, tanh.fwd_nanos), (2, 40));
+        assert_eq!((tanh.bwd_calls, tanh.bwd_nanos), (1, 7));
+        // A same-named span outside the op categories is not an op.
+        let matmul = row("matmul");
+        assert_eq!((matmul.fwd_calls, matmul.fwd_nanos), (1, 20));
+        assert_eq!((matmul.bwd_calls, matmul.bwd_nanos), (0, 0));
+        let leaf = row("leaf");
+        assert_eq!((leaf.fwd_calls, leaf.bwd_calls), (0, 1));
+    }
+
+    #[test]
+    fn aggregate_leaves_op_events_out_of_rows_and_paths() {
+        let events = [
+            ev("train_step", 1, 0, 100),
+            ev_cat("lstm_seq", OP_FWD, 2, 1, 40),
+            ev("inner", 3, 2, 5),
+            ev_cat("lstm_seq", OP_BWD, 4, 1, 30),
+        ];
+        let paths: Vec<String> = aggregate_spans(&events)
+            .into_iter()
+            .map(|s| s.path)
+            .collect();
+        assert_eq!(paths, ["train_step", "train_step/inner"]);
     }
 
     #[test]

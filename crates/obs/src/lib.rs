@@ -1,23 +1,24 @@
 //! Unified observability layer for the SpectraGAN workspace.
 //!
-//! Three pieces, all gated behind one global flag with the same cost
-//! contract as `spectragan_tensor::stats`: **one relaxed atomic load
-//! per instrumentation site when disabled**, and no allocation on the
-//! hot path when enabled (span events go to pre-grown thread-local
-//! buffers, metrics are plain atomics).
+//! The workspace's one instrumentation system. Three pieces, all gated
+//! behind one global flag: **one relaxed atomic load per
+//! instrumentation site when disabled**; when enabled, a completed
+//! span takes one short lock on the shared sink and metrics are plain
+//! atomics.
 //!
 //! * [`span`] — hierarchical RAII spans with monotonic timing. Each
 //!   span records `(name, id, parent, tid, start_ns, dur_ns)` relative
 //!   to a process-wide epoch; [`drain_events`] collects everything
 //!   recorded so far (callers drain after worker threads have joined,
-//!   which the scoped pool guarantees).
+//!   which the scoped pool guarantees). Tape ops are spans too, in the
+//!   [`OP_FWD`] / [`OP_BWD`] categories.
 //! * [`metrics`] — a registry of named counters, gauges and fixed
 //!   log2-bucketed histograms. Handles are `&'static` (leaked once per
 //!   name) so hot sites cache them in a `OnceLock` and pay no lookup.
-//! * [`export`] — three serializers over the drained data: per-step
-//!   aggregated span stats for `train_log.jsonl`, a Prometheus-style
-//!   text snapshot, and Chrome trace-event JSON loadable in
-//!   `chrome://tracing` / Perfetto.
+//! * [`export`] — serializers over the drained data: per-step
+//!   aggregated span stats and per-op tables for `train_log.jsonl`, a
+//!   Prometheus-style text snapshot, and Chrome trace-event JSON
+//!   loadable in `chrome://tracing` / Perfetto.
 //!
 //! Nothing in this crate touches RNG streams, tensor math or
 //! summation order, so enabling it cannot perturb the workspace's
@@ -28,12 +29,12 @@ mod export;
 mod metrics;
 mod span;
 
-pub use export::{aggregate_spans, chrome_trace, prometheus_snapshot, SpanStat};
+pub use export::{aggregate_spans, chrome_trace, op_table, prometheus_snapshot, OpStat, SpanStat};
 pub use metrics::{
     counter, gauge, histogram, metrics_snapshot, reset_metrics, Counter, Gauge, Histogram,
     HistogramSnapshot, MetricKind, MetricSnapshot, HIST_BUCKETS,
 };
-pub use span::{drain_events, span, span_cat, Span, SpanEvent};
+pub use span::{discard_events, drain_events, span, span_cat, Span, SpanEvent, OP_BWD, OP_FWD};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;

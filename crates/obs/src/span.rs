@@ -3,17 +3,17 @@
 //! A [`Span`] opened while another span on the same thread is live
 //! becomes its child (parent links come from a thread-local stack).
 //! Completed spans are pushed to a global sink; [`drain_events`]
-//! takes the sink. Spans are deliberately coarse-grained (pipeline
-//! sections, not per-tensor ops — those belong to
-//! `spectragan_tensor::stats`), so one short uncontended lock per
-//! completed span is the enabled-mode cost; the sink push is the
-//! *only* point where enabled-mode recording can allocate (amortized
-//! `Vec` growth). Completion is synchronous with `Drop`, so once a
-//! worker thread has been joined — scoped-pool workers always are —
-//! its events are guaranteed visible to the drainer. (A thread-local
-//! flush-on-exit buffer would *not* give that guarantee:
-//! `std::thread::scope` can observe a worker as finished before its
-//! TLS destructors run.)
+//! takes the sink. Spans cover pipeline sections and, under the
+//! [`OP_FWD`] / [`OP_BWD`] categories, every tape op's forward and
+//! backward (folded into per-op rows by [`crate::op_table`]). One
+//! short uncontended lock per completed span is the enabled-mode cost;
+//! the sink push is the *only* point where enabled-mode recording can
+//! allocate (amortized `Vec` growth). Completion is synchronous with
+//! `Drop`, so once a worker thread has been joined — scoped-pool
+//! workers always are — its events are guaranteed visible to the
+//! drainer. (A thread-local flush-on-exit buffer would *not* give that
+//! guarantee: `std::thread::scope` can observe a worker as finished
+//! before its TLS destructors run.)
 
 use crate::enabled;
 use std::cell::RefCell;
@@ -39,6 +39,11 @@ pub struct SpanEvent {
     /// Duration in nanoseconds.
     pub dur_ns: u64,
 }
+
+/// Category of a tape op's forward span (named by the op).
+pub const OP_FWD: &str = "op.fwd";
+/// Category of a tape op's backward span (same name as its forward).
+pub const OP_BWD: &str = "op.bwd";
 
 static SINK: Mutex<Vec<SpanEvent>> = Mutex::new(Vec::new());
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
@@ -143,6 +148,13 @@ impl Drop for Span {
 /// not completed).
 pub fn drain_events() -> Vec<SpanEvent> {
     std::mem::take(&mut *SINK.lock().unwrap_or_else(|e| e.into_inner()))
+}
+
+/// Drops every event recorded so far, keeping the sink's capacity: for
+/// a long-lived process that keeps the layer on without consuming
+/// spans.
+pub fn discard_events() {
+    SINK.lock().unwrap_or_else(|e| e.into_inner()).clear();
 }
 
 #[cfg(test)]

@@ -214,6 +214,11 @@ impl Server {
                         if r.is_err() {
                             obs::counter("spectragan_serve_panics_total").inc(1);
                         }
+                        // Spans are recorded (the layer is on for
+                        // /metrics) but nothing in the server reads
+                        // them: drop each request's, or the sink grows
+                        // for the process's lifetime.
+                        obs::discard_events();
                     }
                     Err(_) => return, // sender dropped: shutdown
                 }

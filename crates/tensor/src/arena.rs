@@ -160,13 +160,11 @@ pub fn take(n: usize) -> Vec<f32> {
                     a.pooled_bytes -= n * 4;
                     a.stats.reused += 1;
                     a.stats.reused_bytes += bytes;
-                    crate::stats::note_pool_bytes(0, bytes);
                     return buf;
                 }
             }
             a.stats.fresh_allocs += 1;
             a.stats.fresh_bytes += bytes;
-            crate::stats::note_pool_bytes(bytes, 0);
             Vec::with_capacity(n)
         })
         // Thread teardown: the arena TLS is already gone — allocate.

@@ -19,9 +19,9 @@
 //! * [`arena`] — a thread-local buffer pool. Tensor storage is taken
 //!   from and returned to it ([`Tensor`]'s `Drop` recycles), so the
 //!   constant-shape training loop runs allocation-free after warm-up.
-//! * [`stats`] — per-[`OpKind`] instrumentation (call counts, wall
-//!   time, pool traffic), off by default and costing one relaxed atomic
-//!   load per op until enabled.
+//! * Instrumentation — every op's forward, and every node the backward
+//!   walks, is a `spectragan-obs` span named by [`Op::name`], costing
+//!   one relaxed atomic load per op while the obs layer is off.
 //!
 //! Differentiable ops live on [`Var`]: arithmetic, activations, matmul,
 //! 2-D convolution, reductions, losses, concat/reshape/slice, plus the
@@ -52,7 +52,6 @@ pub mod lstm_seq;
 pub mod ops;
 pub mod pool;
 pub mod shape;
-pub mod stats;
 pub mod tape;
 pub mod tensor;
 
@@ -60,6 +59,5 @@ pub use arena::ArenaStats;
 pub use backend::{set_backend, Backend, BackendKind};
 pub use ops::{FusedAct, Op};
 pub use shape::Shape;
-pub use stats::{OpKind, OpStatEntry};
 pub use tape::{Gradients, Tape, Var};
 pub use tensor::Tensor;

@@ -27,7 +27,6 @@
 //! and the order its backward keeps live in [`crate::lstm_seq`].
 
 use crate::lstm_seq::SeqInput;
-use crate::stats::OpKind;
 use crate::tensor::Tensor;
 use std::rc::Rc;
 
@@ -140,44 +139,45 @@ pub enum Op {
 }
 
 impl Op {
-    /// The instrumentation kind of this op.
-    pub fn kind(&self) -> OpKind {
+    /// The op's stable lowercase name: its forward and backward spans
+    /// carry it, so it keys the `op_stats` rows of `train_log.jsonl`.
+    pub fn name(&self) -> &'static str {
         match self {
-            Op::Leaf => OpKind::Leaf,
-            Op::Add(..) => OpKind::Add,
-            Op::Sub(..) => OpKind::Sub,
-            Op::Mul(..) => OpKind::Mul,
-            Op::Div(..) => OpKind::Div,
-            Op::Scale(..) => OpKind::Scale,
-            Op::AddScalar(..) => OpKind::AddScalar,
-            Op::AddRowVec { .. } => OpKind::AddRowVec,
-            Op::AddChannelBias { .. } => OpKind::AddChannelBias,
-            Op::Sigmoid(..) => OpKind::Sigmoid,
-            Op::Tanh(..) => OpKind::Tanh,
-            Op::Relu(..) => OpKind::Relu,
-            Op::LeakyRelu(..) => OpKind::LeakyRelu,
-            Op::Exp(..) => OpKind::Exp,
-            Op::Softplus(..) => OpKind::Softplus,
-            Op::SqrtEps(..) => OpKind::SqrtEps,
-            Op::Abs(..) => OpKind::Abs,
-            Op::Clamp { .. } => OpKind::Clamp,
-            Op::Square(..) => OpKind::Square,
-            Op::Matmul(..) => OpKind::Matmul,
-            Op::MatmulConst { .. } => OpKind::MatmulConst,
-            Op::Conv2d { .. } => OpKind::Conv2d,
-            Op::Reshape(..) => OpKind::Reshape,
-            Op::Permute { .. } => OpKind::Permute,
-            Op::AvgPool2(..) => OpKind::AvgPool2,
-            Op::Narrow { .. } => OpKind::Narrow,
-            Op::Concat { .. } => OpKind::Concat,
-            Op::Sum(..) => OpKind::Sum,
-            Op::Mean(..) => OpKind::Mean,
-            Op::L1To { .. } => OpKind::L1To,
-            Op::MseTo { .. } => OpKind::MseTo,
-            Op::BceWithLogits { .. } => OpKind::BceWithLogits,
-            Op::MatmulBiasAct { .. } => OpKind::MatmulBiasAct,
-            Op::Conv2dBias { .. } => OpKind::Conv2dBias,
-            Op::LstmSeq { .. } => OpKind::LstmSeq,
+            Op::Leaf => "leaf",
+            Op::Add(..) => "add",
+            Op::Sub(..) => "sub",
+            Op::Mul(..) => "mul",
+            Op::Div(..) => "div",
+            Op::Scale(..) => "scale",
+            Op::AddScalar(..) => "add_scalar",
+            Op::AddRowVec { .. } => "add_rowvec",
+            Op::AddChannelBias { .. } => "add_channel_bias",
+            Op::Sigmoid(..) => "sigmoid",
+            Op::Tanh(..) => "tanh",
+            Op::Relu(..) => "relu",
+            Op::LeakyRelu(..) => "leaky_relu",
+            Op::Exp(..) => "exp",
+            Op::Softplus(..) => "softplus",
+            Op::SqrtEps(..) => "sqrt_eps",
+            Op::Abs(..) => "abs",
+            Op::Clamp { .. } => "clamp",
+            Op::Square(..) => "square",
+            Op::Matmul(..) => "matmul",
+            Op::MatmulConst { .. } => "matmul_const",
+            Op::Conv2d { .. } => "conv2d",
+            Op::Reshape(..) => "reshape",
+            Op::Permute { .. } => "permute",
+            Op::AvgPool2(..) => "avg_pool2",
+            Op::Narrow { .. } => "narrow",
+            Op::Concat { .. } => "concat",
+            Op::Sum(..) => "sum",
+            Op::Mean(..) => "mean",
+            Op::L1To { .. } => "l1_to",
+            Op::MseTo { .. } => "mse_to",
+            Op::BceWithLogits { .. } => "bce_with_logits",
+            Op::MatmulBiasAct { .. } => "matmul_bias_act",
+            Op::Conv2dBias { .. } => "conv2d_bias",
+            Op::LstmSeq { .. } => "lstm_seq",
         }
     }
 

@@ -27,8 +27,8 @@
 use crate::lstm_seq::SeqInput;
 use crate::ops::{self, Op};
 use crate::shape::Shape;
-use crate::stats::{self, OpKind};
 use crate::tensor::Tensor;
+use spectragan_obs as obs;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -178,7 +178,6 @@ impl Tape {
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
         grads[root.id] = Some(Tensor::full(nodes[root.id].value.shape().clone(), 1.0));
 
-        let instrument = stats::enabled();
         for id in (0..=root.id).rev() {
             if !need[id] {
                 continue;
@@ -187,12 +186,8 @@ impl Tape {
                 continue;
             };
             let op = &nodes[id].op;
-            if instrument {
-                let _scope = stats::bwd(op.kind());
-                ops::backward_node(op, id, &values, &grad_out, &mut grads, need);
-            } else {
-                ops::backward_node(op, id, &values, &grad_out, &mut grads, need);
-            }
+            let _span = obs::span_cat(op.name(), obs::OP_BWD);
+            ops::backward_node(op, id, &values, &grad_out, &mut grads, need);
             grads[id] = Some(grad_out);
         }
         Gradients { grads }
@@ -255,35 +250,35 @@ impl Var {
 
     /// Elementwise sum.
     pub fn add(&self, other: &Var) -> Var {
-        let _s = stats::fwd(OpKind::Add);
+        let _s = obs::span_cat("add", obs::OP_FWD);
         let v = self.value().add(&other.value());
         self.binary(other, v, Op::Add(self.id, other.id))
     }
 
     /// Elementwise difference.
     pub fn sub(&self, other: &Var) -> Var {
-        let _s = stats::fwd(OpKind::Sub);
+        let _s = obs::span_cat("sub", obs::OP_FWD);
         let v = self.value().sub(&other.value());
         self.binary(other, v, Op::Sub(self.id, other.id))
     }
 
     /// Elementwise (Hadamard) product.
     pub fn mul(&self, other: &Var) -> Var {
-        let _s = stats::fwd(OpKind::Mul);
+        let _s = obs::span_cat("mul", obs::OP_FWD);
         let v = self.value().mul(&other.value());
         self.binary(other, v, Op::Mul(self.id, other.id))
     }
 
     /// Multiplication by a constant scalar.
     pub fn scale(&self, s: f32) -> Var {
-        let _t = stats::fwd(OpKind::Scale);
+        let _t = obs::span_cat("scale", obs::OP_FWD);
         let v = self.value().scale(s);
         self.unary(v, Op::Scale(self.id, s))
     }
 
     /// Addition of a constant scalar to every element.
     pub fn add_scalar(&self, s: f32) -> Var {
-        let _t = stats::fwd(OpKind::AddScalar);
+        let _t = obs::span_cat("add_scalar", obs::OP_FWD);
         let v = self.value().map(|x| x + s);
         self.unary(v, Op::AddScalar(self.id))
     }
@@ -295,7 +290,7 @@ impl Var {
 
     /// Adds a row vector `bias [M]` to every row of a `[N, M]` matrix.
     pub fn add_rowvec(&self, bias: &Var) -> Var {
-        let _t = stats::fwd(OpKind::AddRowVec);
+        let _t = obs::span_cat("add_rowvec", obs::OP_FWD);
         let x = self.value();
         assert_eq!(x.shape().ndim(), 2, "add_rowvec lhs must be rank 2");
         let (n, m) = (x.shape().dim(0), x.shape().dim(1));
@@ -324,7 +319,7 @@ impl Var {
 
     /// Adds a per-channel bias `[C]` to a `[N, C, H, W]` tensor.
     pub fn add_channel_bias(&self, bias: &Var) -> Var {
-        let _t = stats::fwd(OpKind::AddChannelBias);
+        let _t = obs::span_cat("add_channel_bias", obs::OP_FWD);
         let x = self.value();
         assert_eq!(x.shape().ndim(), 4, "add_channel_bias input must be rank 4");
         let (n, c, h, w) = (
@@ -368,7 +363,7 @@ impl Var {
     /// Logistic sigmoid `1 / (1 + e^{-x})`, dispatched to the active
     /// backend's elementwise kernel.
     pub fn sigmoid(&self) -> Var {
-        let _t = stats::fwd(OpKind::Sigmoid);
+        let _t = obs::span_cat("sigmoid", obs::OP_FWD);
         let mut v = self.value().map(|x| x);
         crate::backend::active().sigmoid_slice(v.data_mut());
         self.unary(v, Op::Sigmoid(self.id))
@@ -377,7 +372,7 @@ impl Var {
     /// Hyperbolic tangent, dispatched to the active backend's
     /// elementwise kernel.
     pub fn tanh(&self) -> Var {
-        let _t = stats::fwd(OpKind::Tanh);
+        let _t = obs::span_cat("tanh", obs::OP_FWD);
         let mut v = self.value().map(|x| x);
         crate::backend::active().tanh_slice(v.data_mut());
         self.unary(v, Op::Tanh(self.id))
@@ -385,28 +380,28 @@ impl Var {
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Var {
-        let _t = stats::fwd(OpKind::Relu);
+        let _t = obs::span_cat("relu", obs::OP_FWD);
         let v = self.value().map(|v| v.max(0.0));
         self.unary(v, Op::Relu(self.id))
     }
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&self, alpha: f32) -> Var {
-        let _t = stats::fwd(OpKind::LeakyRelu);
+        let _t = obs::span_cat("leaky_relu", obs::OP_FWD);
         let v = self.value().map(|v| if v > 0.0 { v } else { alpha * v });
         self.unary(v, Op::LeakyRelu(self.id, alpha))
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Var {
-        let _t = stats::fwd(OpKind::Exp);
+        let _t = obs::span_cat("exp", obs::OP_FWD);
         let v = self.value().map(f32::exp);
         self.unary(v, Op::Exp(self.id))
     }
 
     /// Numerically-stable softplus `ln(1 + e^x)`.
     pub fn softplus(&self) -> Var {
-        let _t = stats::fwd(OpKind::Softplus);
+        let _t = obs::span_cat("softplus", obs::OP_FWD);
         let v = self.value().map(ops::softplus_scalar);
         self.unary(v, Op::Softplus(self.id))
     }
@@ -414,7 +409,7 @@ impl Var {
     /// Elementwise division `self / other` (no zero handling — caller
     /// guarantees the denominator is bounded away from zero).
     pub fn div(&self, other: &Var) -> Var {
-        let _t = stats::fwd(OpKind::Div);
+        let _t = obs::span_cat("div", obs::OP_FWD);
         let v = self.value().zip(&other.value(), |x, y| x / y);
         self.binary(other, v, Op::Div(self.id, other.id))
     }
@@ -422,14 +417,14 @@ impl Var {
     /// Elementwise square root of a positive tensor, stabilized as
     /// `sqrt(x + eps)`.
     pub fn sqrt_eps(&self, eps: f32) -> Var {
-        let _t = stats::fwd(OpKind::SqrtEps);
+        let _t = obs::span_cat("sqrt_eps", obs::OP_FWD);
         let v = self.value().map(|x| (x + eps).sqrt());
         self.unary(v, Op::SqrtEps(self.id))
     }
 
     /// Elementwise absolute value (subgradient 0 at the kink).
     pub fn abs(&self) -> Var {
-        let _t = stats::fwd(OpKind::Abs);
+        let _t = obs::span_cat("abs", obs::OP_FWD);
         let v = self.value().map(f32::abs);
         self.unary(v, Op::Abs(self.id))
     }
@@ -439,14 +434,14 @@ impl Var {
     /// at the boundary is not used).
     pub fn clamp(&self, lo: f32, hi: f32) -> Var {
         assert!(lo <= hi, "clamp bounds reversed");
-        let _t = stats::fwd(OpKind::Clamp);
+        let _t = obs::span_cat("clamp", obs::OP_FWD);
         let v = self.value().map(|e| e.clamp(lo, hi));
         self.unary(v, Op::Clamp { x: self.id, lo, hi })
     }
 
     /// Elementwise square (cheaper than `mul` with itself: one parent).
     pub fn square(&self) -> Var {
-        let _t = stats::fwd(OpKind::Square);
+        let _t = obs::span_cat("square", obs::OP_FWD);
         let v = self.value().map(|e| e * e);
         self.unary(v, Op::Square(self.id))
     }
@@ -457,7 +452,7 @@ impl Var {
 
     /// Matrix product `[m, k] @ [k, n] → [m, n]`.
     pub fn matmul(&self, other: &Var) -> Var {
-        let _t = stats::fwd(OpKind::Matmul);
+        let _t = obs::span_cat("matmul", obs::OP_FWD);
         let v = self.value().matmul(&other.value());
         self.binary(other, v, Op::Matmul(self.id, other.id))
     }
@@ -466,7 +461,7 @@ impl Var {
     /// parent, so gradients never flow into `matrix`. Used for the fixed
     /// inverse-rFFT basis in the spectrum generator.
     pub fn matmul_const(&self, matrix: &Tensor) -> Var {
-        let _t = stats::fwd(OpKind::MatmulConst);
+        let _t = obs::span_cat("matmul_const", obs::OP_FWD);
         let v = self.value().matmul(matrix);
         self.unary(
             v,
@@ -480,7 +475,7 @@ impl Var {
     /// 2-D cross-correlation (see [`Tensor::conv2d`]) with trainable
     /// input and weight, stride 1, zero padding `pad`.
     pub fn conv2d(&self, weight: &Var, pad: usize) -> Var {
-        let _t = stats::fwd(OpKind::Conv2d);
+        let _t = obs::span_cat("conv2d", obs::OP_FWD);
         let v = self.value().conv2d(&weight.value(), pad);
         self.binary(
             weight,
@@ -506,7 +501,7 @@ impl Var {
             Rc::ptr_eq(&self.tape, &w.tape) && Rc::ptr_eq(&self.tape, &bias.tape),
             "fused op on Vars from different tapes"
         );
-        let _t = stats::fwd(OpKind::MatmulBiasAct);
+        let _t = obs::span_cat("matmul_bias_act", obs::OP_FWD);
         let v = ops::matmul_bias_act_forward(&self.value(), &w.value(), &bias.value(), act);
         self.tape.push(
             v,
@@ -527,7 +522,7 @@ impl Var {
             Rc::ptr_eq(&self.tape, &w.tape) && Rc::ptr_eq(&self.tape, &bias.tape),
             "fused op on Vars from different tapes"
         );
-        let _t = stats::fwd(OpKind::Conv2dBias);
+        let _t = obs::span_cat("conv2d_bias", obs::OP_FWD);
         let v = ops::conv2d_bias_forward(&self.value(), &w.value(), &bias.value(), pad);
         self.tape.push(
             v,
@@ -592,7 +587,7 @@ impl Var {
                 "LSTM sequence on Vars from different tapes"
             );
         }
-        let _t = stats::fwd(OpKind::LstmSeq);
+        let _t = obs::span_cat("lstm_seq", obs::OP_FWD);
         let values: Vec<(usize, Rc<Tensor>)> = operands.iter().map(|v| (v.id, v.value())).collect();
         let value = |id: usize| -> &Tensor {
             let (_, v) = values
@@ -619,7 +614,7 @@ impl Var {
 
     /// Reshape preserving element count.
     pub fn reshape(&self, shape: impl Into<Shape>) -> Var {
-        let _t = stats::fwd(OpKind::Reshape);
+        let _t = obs::span_cat("reshape", obs::OP_FWD);
         let v = self.value().reshape(shape.into());
         self.unary(v, Op::Reshape(self.id))
     }
@@ -627,7 +622,7 @@ impl Var {
     /// Permutes axes (see [`Tensor::permute`]); the gradient applies
     /// the inverse permutation.
     pub fn permute(&self, perm: &[usize]) -> Var {
-        let _t = stats::fwd(OpKind::Permute);
+        let _t = obs::span_cat("permute", obs::OP_FWD);
         let v = self.value().permute(perm);
         let mut inverse = vec![0usize; perm.len()];
         for (i, &p) in perm.iter().enumerate() {
@@ -645,14 +640,14 @@ impl Var {
     /// 2×2 average pooling, stride 2 (see [`Tensor::avg_pool2`]); the
     /// gradient spreads each pooled gradient over its 2×2 window.
     pub fn avg_pool2(&self) -> Var {
-        let _t = stats::fwd(OpKind::AvgPool2);
+        let _t = obs::span_cat("avg_pool2", obs::OP_FWD);
         let v = self.value().avg_pool2();
         self.unary(v, Op::AvgPool2(self.id))
     }
 
     /// Contiguous slice `start..start+len` along `axis`.
     pub fn narrow(&self, axis: usize, start: usize, len: usize) -> Var {
-        let _t = stats::fwd(OpKind::Narrow);
+        let _t = obs::span_cat("narrow", obs::OP_FWD);
         let v = self.value().narrow(axis, start, len);
         self.unary(
             v,
@@ -670,7 +665,7 @@ impl Var {
     /// Panics on an empty list or mismatched tapes/shapes.
     pub fn concat(parts: &[Var], axis: usize) -> Var {
         assert!(!parts.is_empty(), "concat of zero Vars");
-        let _t = stats::fwd(OpKind::Concat);
+        let _t = obs::span_cat("concat", obs::OP_FWD);
         let tape = Rc::clone(&parts[0].tape);
         for p in parts {
             assert!(
@@ -696,21 +691,21 @@ impl Var {
 
     /// Sum of all elements (scalar output).
     pub fn sum(&self) -> Var {
-        let _t = stats::fwd(OpKind::Sum);
+        let _t = obs::span_cat("sum", obs::OP_FWD);
         let v = Tensor::scalar(self.value().sum());
         self.unary(v, Op::Sum(self.id))
     }
 
     /// Mean of all elements (scalar output).
     pub fn mean(&self) -> Var {
-        let _t = stats::fwd(OpKind::Mean);
+        let _t = obs::span_cat("mean", obs::OP_FWD);
         let v = Tensor::scalar(self.value().mean());
         self.unary(v, Op::Mean(self.id))
     }
 
     /// Mean absolute error against a constant target.
     pub fn l1_to(&self, target: &Tensor) -> Var {
-        let _t = stats::fwd(OpKind::L1To);
+        let _t = obs::span_cat("l1_to", obs::OP_FWD);
         let x = self.value();
         assert_eq!(
             x.shape(),
@@ -731,7 +726,7 @@ impl Var {
 
     /// Mean squared error against a constant target.
     pub fn mse_to(&self, target: &Tensor) -> Var {
-        let _t = stats::fwd(OpKind::MseTo);
+        let _t = obs::span_cat("mse_to", obs::OP_FWD);
         let x = self.value();
         assert_eq!(
             x.shape(),
@@ -756,7 +751,7 @@ impl Var {
     /// This is the standard numerically-stable GAN discriminator /
     /// generator loss; `y = 1` for "real", `y = 0` for "fake".
     pub fn bce_with_logits(&self, y: f32) -> Var {
-        let _t = stats::fwd(OpKind::BceWithLogits);
+        let _t = obs::span_cat("bce_with_logits", obs::OP_FWD);
         let x = self.value();
         let v = Tensor::scalar(x.map(|xi| ops::softplus_scalar(xi) - y * xi).mean());
         self.unary(v, Op::BceWithLogits { x: self.id, y })
@@ -1210,6 +1205,72 @@ mod tests {
             }
             assert!(all.get(&data).is_some());
             assert!(some.get(&data).is_none(), "the data leaf got a gradient");
+        }
+    }
+
+    /// With obs on, every op's forward span and the backward span of
+    /// its node carry the same name ([`Op::name`]), so each op folds
+    /// into one `op_table` row with as many backward calls as forward
+    /// calls. The graph runs all 34 ops, fused ones included.
+    #[test]
+    fn op_spans_pair_forward_and_backward_names() {
+        let mut r = rng();
+        let _obs = obs::ObsGuard::new(true);
+        let root = obs::span("op_spans_test").expect("obs is on");
+        let tape = Tape::new();
+        let mut leaf = |shape: &[usize]| tape.leaf(Tensor::randn(shape.to_vec(), &mut r));
+        let (data, w_conv, b_conv) = (leaf(&[1, 2, 4, 4]), leaf(&[3, 2, 3, 3]), leaf(&[3]));
+        let (w_mm, b_mm) = (leaf(&[3, 3]), leaf(&[3]));
+        let (wh, b_seq, head_w, head_b) = (leaf(&[1, 4]), leaf(&[4]), leaf(&[1, 1]), leaf(&[1]));
+        let target = Tensor::randn([4, 3], &mut r);
+
+        let conv = data
+            .conv2d_bias(&w_conv, &b_conv, 1)
+            .add(&data.conv2d(&w_conv, 1).add_channel_bias(&b_conv));
+        let rows = conv.avg_pool2().permute(&[0, 2, 3, 1]).reshape([4, 3]);
+        let m = rows.matmul(&w_mm).add_rowvec(&b_mm);
+        let fused = rows.matmul_bias_act(&w_mm, &b_mm, FusedAct::Tanh);
+        let num = m
+            .sigmoid()
+            .add(&m.tanh())
+            .add(&m.relu().sub(&m.leaky_relu(0.2)))
+            .add(&m.softplus().mul(&m.exp().scale(0.5)));
+        let den = m.square().add_scalar(1.0).sqrt_eps(1e-6);
+        let g = num
+            .div(&den)
+            .abs()
+            .clamp(-5.0, 5.0)
+            .matmul_const(&target.narrow(0, 0, 3));
+        let xw = Var::concat(&[g, fused], 1).narrow(1, 0, 4);
+        let seq = xw.lstm_rollout(&wh, &b_seq, &head_w, &head_b, 3);
+        let loss = seq
+            .sum()
+            .add(&seq.mean())
+            .add(&seq.l1_to(&target))
+            .add(&seq.mse_to(&target))
+            .add(&seq.bce_with_logits(1.0));
+        tape.backward(&loss);
+        let id = root.id();
+        drop(root);
+
+        // Tests on other threads may record spans meanwhile; this
+        // graph's op spans are exactly the children of `root`.
+        let mine: Vec<obs::SpanEvent> = obs::drain_events()
+            .into_iter()
+            .filter(|e| e.parent == id)
+            .collect();
+        let table = obs::op_table(&mine);
+        assert_eq!(table.len(), 35, "34 ops plus leaf: {table:?}");
+        for row in &table {
+            if row.op == "leaf" {
+                assert_eq!((row.fwd_calls, row.bwd_calls), (0, 9), "{row:?}");
+            } else {
+                assert!(row.fwd_calls > 0, "{row:?}");
+                assert_eq!(row.fwd_calls, row.bwd_calls, "{row:?}");
+            }
+        }
+        for fused in ["matmul_bias_act", "conv2d_bias", "lstm_seq"] {
+            assert!(table.iter().any(|r| r.op == fused), "no {fused} row");
         }
     }
 
