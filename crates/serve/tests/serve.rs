@@ -381,6 +381,27 @@ fn invalid_requests_get_typed_4xx_and_server_survives() {
     assert_eq!(ok.status, 200);
 }
 
+/// A body of nothing but `[`, as large as the body cap allows, used to
+/// overflow a worker's stack in the JSON parser and abort the server.
+/// It is a 400 naming the nesting limit, and the server keeps serving.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    let (dir, _, _) = fixture();
+    let cfg = ServeConfig::new("127.0.0.1:0", &dir);
+    let body = vec![b'['; cfg.max_body_bytes];
+    assert_eq!(body.len(), 64 * 1024);
+    let (server, _) = RunningServer::start(cfg);
+
+    let resp = request(&server.addr, "POST", "/generate", &body).unwrap();
+    assert_eq!(resp.status, 400);
+    let text = String::from_utf8_lossy(&resp.body).to_string();
+    assert!(text.contains("recursion limit"), "error body {text:?}");
+
+    let health = request(&server.addr, "GET", "/healthz", b"").unwrap();
+    assert_eq!(health.status, 200);
+    assert_eq!(health.body, b"ok\n");
+}
+
 /// Admission control: with the budget pinned full, a request is shed
 /// with 503 + Retry-After; once the budget frees, the same request
 /// succeeds.
