@@ -14,6 +14,7 @@ use rand::Rng;
 use spectragan_nn::layers::Activation;
 use spectragan_nn::{Binding, Conv2d, Linear, Lstm, Mlp, ParamStore, Tensor, Var};
 use spectragan_obs as obs;
+use spectragan_tensor::ops::softplus_scalar;
 
 /// Output of one generator forward pass.
 pub struct GenOut {
@@ -206,7 +207,7 @@ impl Generator {
             if let Some(amp) = &self.amp_head {
                 let a = amp.forward_infer(store, &rows);
                 for px in 0..n_px {
-                    let scale = softplus32(a.data()[px * 2]);
+                    let scale = softplus_scalar(a.data()[px * 2]);
                     let offset = a.data()[px * 2 + 1];
                     for v in &mut xt.data_mut()[px * t_out..(px + 1) * t_out] {
                         *v = *v * scale + offset;
@@ -219,16 +220,6 @@ impl Generator {
             });
         }
         series.expect("at least one generator path is active")
-    }
-}
-
-fn softplus32(x: f32) -> f32 {
-    if x > 20.0 {
-        x
-    } else if x < -20.0 {
-        x.exp()
-    } else {
-        x.exp().ln_1p()
     }
 }
 

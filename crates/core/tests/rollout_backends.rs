@@ -1,7 +1,7 @@
 //! The generator at paper scale (`default_hourly`, k = 2: two weeks of
 //! 336 hourly steps) under both kernel backends: the simd backend's
-//! vectorized LSTM activations keep its output within 1e-4 of the
-//! scalar reference. (Per-backend thread-count invariance is checked
+//! conv and matmul kernels keep its output within 1e-4 of the scalar
+//! reference (the rollout and its activations are shared). (Per-backend thread-count invariance is checked
 //! by `crates/nn/tests/rollout.rs` and, for whole generations, by the
 //! suite's own runs under each backend.)
 

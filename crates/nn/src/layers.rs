@@ -3,7 +3,7 @@
 use crate::init;
 use crate::param::{Binding, ParamId, ParamStore};
 use rand::Rng;
-use spectragan_tensor::{FusedAct, Tensor, Var};
+use spectragan_tensor::{math, FusedAct, Tensor, Var};
 
 /// Activation applied between layers of an [`Mlp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -230,8 +230,8 @@ impl Mlp {
             h = match act {
                 Activation::LeakyRelu => h.map(|v| if v > 0.0 { v } else { 0.2 * v }),
                 Activation::Relu => h.map(|v| v.max(0.0)),
-                Activation::Tanh => h.map(f32::tanh),
-                Activation::Sigmoid => h.map(|v| 1.0 / (1.0 + (-v).exp())),
+                Activation::Tanh => h.map(math::tanh),
+                Activation::Sigmoid => h.map(math::sigmoid),
                 Activation::Identity => h,
             };
         }

@@ -19,7 +19,7 @@ use crate::init;
 use crate::layers::Linear;
 use crate::param::{Binding, ParamId, ParamStore};
 use rand::Rng;
-use spectragan_tensor::{lstm_seq, Tensor, Var};
+use spectragan_tensor::{lstm_seq, math, Tensor, Var};
 
 /// Hidden and cell state of an LSTM, each `[N, hidden]`.
 #[derive(Clone)]
@@ -175,13 +175,13 @@ impl Lstm {
         for row in 0..n {
             for k in 0..hs {
                 let g_row = &gates.data()[row * 4 * hs..(row + 1) * 4 * hs];
-                let i = sigmoid(g_row[k]);
-                let f = sigmoid(g_row[hs + k]);
-                let g = g_row[2 * hs + k].tanh();
-                let o = sigmoid(g_row[3 * hs + k]);
+                let i = math::sigmoid(g_row[k]);
+                let f = math::sigmoid(g_row[hs + k]);
+                let g = math::tanh(g_row[2 * hs + k]);
+                let o = math::sigmoid(g_row[3 * hs + k]);
                 let c_val = f * c.data()[row * hs + k] + i * g;
                 c_new.data_mut()[row * hs + k] = c_val;
-                h_new.data_mut()[row * hs + k] = o * c_val.tanh();
+                h_new.data_mut()[row * hs + k] = o * math::tanh(c_val);
             }
         }
         (h_new, c_new)
@@ -298,11 +298,6 @@ impl Lstm {
         }
         out
     }
-}
-
-#[inline]
-fn sigmoid(x: f32) -> f32 {
-    1.0 / (1.0 + (-x).exp())
 }
 
 #[cfg(test)]

@@ -78,7 +78,8 @@ impl BackendKind {
 /// with the shared bias/activation epilogues — exactly the composition
 /// the scalar backend is contracted to (bit-equal to the historical
 /// fused kernels); faster backends override them to fuse the epilogue
-/// into the GEMM output pass.
+/// into the GEMM output pass. Activations are not a backend method:
+/// every backend, and every epilogue, uses [`crate::math`].
 pub trait Backend: Sync {
     /// Which [`BackendKind`] this is.
     fn kind(&self) -> BackendKind;
@@ -138,26 +139,6 @@ pub trait Backend: Sync {
         weight_shape: &Shape,
         pad: usize,
     ) -> Tensor;
-
-    /// Elementwise `tanh` in place. The default is the exact libm
-    /// expression the historical interpreter used, so the scalar
-    /// backend stays bit-identical; faster backends may substitute a
-    /// vectorizable approximation within the parity-suite tolerance.
-    /// The fused-activation epilogue routes through this too, so fused
-    /// and unfused compositions stay bit-equal *per backend*.
-    fn tanh_slice(&self, y: &mut [f32]) {
-        for v in y {
-            *v = v.tanh();
-        }
-    }
-
-    /// Elementwise logistic sigmoid in place; same contract as
-    /// [`Backend::tanh_slice`].
-    fn sigmoid_slice(&self, y: &mut [f32]) {
-        for v in y {
-            *v = 1.0 / (1.0 + (-*v).exp());
-        }
-    }
 }
 
 /// The `SPECTRAGAN_BACKEND` knob, sharing the override/env/default

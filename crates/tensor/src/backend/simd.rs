@@ -424,44 +424,4 @@ impl Backend for SimdBackend {
         arena::recycle(col);
         grad_w
     }
-
-    fn tanh_slice(&self, y: &mut [f32]) {
-        for v in y {
-            *v = tanh_approx(*v);
-        }
-    }
-
-    fn sigmoid_slice(&self, y: &mut [f32]) {
-        // σ(x) = ½·(1 + tanh(x/2)); `tanh_approx` is clamped into
-        // [-1, 1], so the result stays inside [0, 1].
-        for v in y {
-            *v = 0.5 + 0.5 * tanh_approx(0.5 * *v);
-        }
-    }
-}
-
-/// Branchless rational approximation of `tanh` (the classic
-/// odd-13 / even-6 polynomial pair), accurate to a few ulps over the
-/// clamped range and saturating outside it. Every step is a mul, add,
-/// min or max, so the calling loops lower to packed instructions —
-/// `f32::tanh` is a libm call that blocks vectorization entirely.
-fn tanh_approx(x: f32) -> f32 {
-    const CLAMP: f32 = 7.998_811_7;
-    const A1: f32 = 4.893_525_3e-3;
-    const A3: f32 = 6.372_619_3e-4;
-    const A5: f32 = 1.485_722_4e-5;
-    const A7: f32 = 5.122_297_1e-8;
-    const A9: f32 = -8.604_672e-11;
-    const A11: f32 = 2.000_188e-13;
-    const A13: f32 = -2.760_768_5e-16;
-    const B0: f32 = 4.893_525e-3;
-    const B2: f32 = 2.268_434_6e-3;
-    const B4: f32 = 1.185_347_1e-4;
-    const B6: f32 = 1.198_258_4e-6;
-    let x = x.clamp(-CLAMP, CLAMP);
-    let x2 = x * x;
-    let p = (((((A13 * x2 + A11) * x2 + A9) * x2 + A7) * x2 + A5) * x2 + A3) * x2 + A1;
-    let p = p * x;
-    let q = ((B6 * x2 + B4) * x2 + B2) * x2 + B0;
-    (p / q).clamp(-1.0, 1.0)
 }

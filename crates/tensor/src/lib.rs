@@ -19,6 +19,9 @@
 //! * [`arena`] — a thread-local buffer pool. Tensor storage is taken
 //!   from and returned to it ([`Tensor`]'s `Drop` recycles), so the
 //!   constant-shape training loop runs allocation-free after warm-up.
+//! * [`math`] — the `f32` `exp`, `tanh` and `sigmoid` every activation
+//!   uses: correctly rounded, libm-free and branch-free, so their bits
+//!   do not depend on the host's C library and their loops vectorize.
 //! * Instrumentation — every op's forward, and every node the backward
 //!   walks, is a `spectragan-obs` span named by [`Op::name`], costing
 //!   one relaxed atomic load per op while the obs layer is off.
@@ -49,6 +52,7 @@ pub mod arena;
 pub mod backend;
 pub mod envctl;
 pub mod lstm_seq;
+pub mod math;
 pub mod ops;
 pub mod pool;
 pub mod shape;

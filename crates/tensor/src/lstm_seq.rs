@@ -73,12 +73,13 @@
 //! calling thread's [`arena`] before the pool call and reaches the
 //! workers as disjoint slices.
 //!
-//! Activations go through the active backend's `sigmoid_slice` and
-//! `tanh_slice`, as the per-step ops did; everything else is one
-//! implementation for both backends.
+//! Activations are [`math`]'s `sigmoid_slice` and `tanh_slice`,
+//! inlined into each entry, so the AVX2 entry runs them on packed
+//! lanes. They are the functions the per-step ops use, under both
+//! backends, and so is every other step: one implementation for both.
 
 use crate::arena;
-use crate::backend;
+use crate::math;
 use crate::pool;
 use crate::tensor::Tensor;
 use std::rc::Rc;
@@ -360,7 +361,6 @@ fn forward_rows_body<const M: usize>(
     let hs = seq.hs;
     let g4 = 4 * hs;
     let rec = seq.rec();
-    let act = backend::active();
     let (mut prev, mut cur) = (0, 1);
     for t in 0..seq.steps {
         if t > 0 {
@@ -412,9 +412,9 @@ fn forward_rows_body<const M: usize>(
             for ((g, &xv), &bv) in gates.iter_mut().zip(x).zip(seq.b) {
                 *g = (xv + *g) + bv;
             }
-            act.sigmoid_slice(&mut gates[..2 * hs]);
-            act.tanh_slice(&mut gates[2 * hs..3 * hs]);
-            act.sigmoid_slice(&mut gates[3 * hs..]);
+            math::sigmoid_slice(&mut gates[..2 * hs]);
+            math::tanh_slice(&mut gates[2 * hs..3 * hs]);
+            math::sigmoid_slice(&mut gates[3 * hs..]);
             let (ig, rest) = gates.split_at(hs);
             let (f, rest) = rest.split_at(hs);
             let (g, o) = rest.split_at(hs);
@@ -427,7 +427,7 @@ fn forward_rows_body<const M: usize>(
                 *cv = fv * cp + iv * gv;
             }
             tanh_c.copy_from_slice(c);
-            act.tanh_slice(tanh_c);
+            math::tanh_slice(tanh_c);
             for ((hv, &ov), &tv) in h.iter_mut().zip(o).zip(&*tanh_c) {
                 *hv = ov * tv;
             }

@@ -27,6 +27,7 @@
 //! and the order its backward keeps live in [`crate::lstm_seq`].
 
 use crate::lstm_seq::SeqInput;
+use crate::math;
 use crate::tensor::Tensor;
 use std::rc::Rc;
 
@@ -221,26 +222,26 @@ impl Op {
     }
 }
 
-/// Numerically stable `ln(1 + e^x)`.
-pub(crate) fn softplus_scalar(x: f32) -> f32 {
+/// Numerically stable `ln(1 + e^x)`: [`math::exp`], then libm's
+/// `ln_1p` in the middle range.
+pub fn softplus_scalar(x: f32) -> f32 {
     if x > 20.0 {
         x
     } else if x < -20.0 {
-        x.exp()
+        math::exp(x)
     } else {
-        x.exp().ln_1p()
+        math::exp(x).ln_1p()
     }
 }
 
 /// Applies a fused activation to a slice, with the same expressions as
-/// the standalone activation ops — the smooth activations route
-/// through the active backend's elementwise kernels so fused and
-/// unfused compositions stay bit-equal per backend.
+/// the standalone activation ops, so fused and unfused compositions
+/// are bit-equal.
 pub(crate) fn apply_act_slice(y: &mut [f32], act: FusedAct) {
     match act {
         FusedAct::Identity => {}
-        FusedAct::Sigmoid => crate::backend::active().sigmoid_slice(y),
-        FusedAct::Tanh => crate::backend::active().tanh_slice(y),
+        FusedAct::Sigmoid => math::sigmoid_slice(y),
+        FusedAct::Tanh => math::tanh_slice(y),
         FusedAct::Relu => {
             for v in y {
                 *v = v.max(0.0);
@@ -422,7 +423,7 @@ pub(crate) fn backward_node(
         }
         Op::Exp(x) => acc(grads, need, *x, || g.mul(val(id))),
         Op::Softplus(x) => acc(grads, need, *x, || {
-            g.zip(val(*x), |gi, xi| gi / (1.0 + (-xi).exp()))
+            g.zip(val(*x), |gi, xi| gi / (1.0 + math::exp(-xi)))
         }),
         Op::SqrtEps(x) => acc(grads, need, *x, || g.zip(val(id), |gi, y| gi * 0.5 / y)),
         Op::Abs(x) => acc(grads, need, *x, || {
@@ -539,7 +540,7 @@ pub(crate) fn backward_node(
             let y = *y;
             // d/dx [softplus(x) − y·x] = σ(x) − y.
             acc(grads, need, *x, || {
-                val(*x).map(|xi| gi * (1.0 / (1.0 + (-xi).exp()) - y))
+                val(*x).map(|xi| gi * (math::sigmoid(xi) - y))
             });
         }
         Op::MatmulBiasAct { a, w, b, act } => {

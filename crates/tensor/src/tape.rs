@@ -25,6 +25,7 @@
 //! in `tests/lstm_seq_backends.rs`.
 
 use crate::lstm_seq::SeqInput;
+use crate::math;
 use crate::ops::{self, Op};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
@@ -360,21 +361,17 @@ impl Var {
     // Activations
     // ------------------------------------------------------------------
 
-    /// Logistic sigmoid `1 / (1 + e^{-x})`, dispatched to the active
-    /// backend's elementwise kernel.
+    /// Logistic sigmoid `1 / (1 + e^{-x})` ([`math::sigmoid`]).
     pub fn sigmoid(&self) -> Var {
         let _t = obs::span_cat("sigmoid", obs::OP_FWD);
-        let mut v = self.value().map(|x| x);
-        crate::backend::active().sigmoid_slice(v.data_mut());
+        let v = self.value().map(math::sigmoid);
         self.unary(v, Op::Sigmoid(self.id))
     }
 
-    /// Hyperbolic tangent, dispatched to the active backend's
-    /// elementwise kernel.
+    /// Hyperbolic tangent ([`math::tanh`]).
     pub fn tanh(&self) -> Var {
         let _t = obs::span_cat("tanh", obs::OP_FWD);
-        let mut v = self.value().map(|x| x);
-        crate::backend::active().tanh_slice(v.data_mut());
+        let v = self.value().map(math::tanh);
         self.unary(v, Op::Tanh(self.id))
     }
 
@@ -392,10 +389,10 @@ impl Var {
         self.unary(v, Op::LeakyRelu(self.id, alpha))
     }
 
-    /// Elementwise exponential.
+    /// Elementwise exponential ([`math::exp`]).
     pub fn exp(&self) -> Var {
         let _t = obs::span_cat("exp", obs::OP_FWD);
-        let v = self.value().map(f32::exp);
+        let v = self.value().map(math::exp);
         self.unary(v, Op::Exp(self.id))
     }
 

@@ -320,9 +320,9 @@ fn matmul_bt_tb_parity_above_transpose_threshold() {
     assert_close(&ys_tb, &yv_tb, "matmul_tb above threshold");
 }
 
-/// The simd tanh/sigmoid approximations must track libm across the
-/// whole useful range, saturate cleanly far outside it, and keep
-/// sigmoid inside [0, 1].
+/// Both backends run the activations of `spectragan_tensor::math`, so
+/// tanh and sigmoid are bit-equal across them, saturate far outside the
+/// working range, and keep their signed zeros.
 #[test]
 fn elementwise_activation_parity() {
     let _g = lock();
@@ -340,20 +340,23 @@ fn elementwise_activation_parity() {
         let tape = Tape::new();
         tape.leaf(x.clone()).sigmoid().value().as_ref().clone()
     };
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     let ts = with_backend(BackendKind::Scalar, run_tanh);
     let tv = with_backend(BackendKind::Simd, run_tanh);
-    assert_close(&ts, &tv, "tanh");
+    assert_eq!(bits(&ts), bits(&tv), "tanh");
     let ss = with_backend(BackendKind::Scalar, run_sigmoid);
     let sv = with_backend(BackendKind::Simd, run_sigmoid);
-    assert_close(&ss, &sv, "sigmoid");
-    assert!(
-        sv.data().iter().all(|&v| (0.0..=1.0).contains(&v)),
-        "simd sigmoid escaped [0, 1]"
+    assert_eq!(bits(&ss), bits(&sv), "sigmoid");
+    let d = ts.data();
+    assert_eq!(
+        [d[n], d[n + 1], d[n + 4], d[n + 5]],
+        [-1.0, -1.0, 1.0, 1.0],
+        "tanh saturates"
     );
-    assert!(
-        tv.data().iter().all(|&v| (-1.0..=1.0).contains(&v)),
-        "simd tanh escaped [-1, 1]"
-    );
+    assert_eq!(d[n + 2].to_bits(), (-0.0f32).to_bits(), "tanh(-0)");
+    assert_eq!(d[n + 3].to_bits(), 0.0f32.to_bits(), "tanh(+0)");
+    let d = ss.data();
+    assert_eq!([d[n], d[n + 5]], [0.0, 1.0], "sigmoid saturates");
 }
 
 /// A zero-size kernel is a shape error with a proper message, not an
