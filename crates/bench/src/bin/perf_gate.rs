@@ -1,10 +1,9 @@
 //! Perf smoke gate for CI: times the hot nn kernels, a short training
-//! run, a full-city generation sweep under **each kernel backend**
-//! (scalar reference, simd), the observability layer's disabled-mode
-//! overhead, and the weight-storage sweep (JSON model file vs f32
-//! `SGWT` container), prints fixed-width tables and writes the numbers
-//! to `BENCH_pr10.json` so regressions show up in the job summary
-//! rather than only in local Criterion runs.
+//! run, a full-city generation sweep, the observability layer's
+//! disabled-mode overhead, and the weight-storage sweep (JSON model
+//! file vs f32 `SGWT` container), prints fixed-width tables and writes
+//! the numbers to `BENCH_pr10.json` so regressions show up in the job
+//! summary rather than only in local Criterion runs.
 //!
 //! ```text
 //! cargo run --release -p spectragan-bench --bin perf_gate
@@ -16,21 +15,17 @@
 //! steady-state training step (which must stay ~0; the hard assertion
 //! lives in `spectragan-nn`'s `alloc_steady_state` test), peak arena
 //! bytes during city generation (hard assertion in `spectragan-core`'s
-//! `streaming_generation` test), and the simd-over-scalar speedups.
+//! `streaming_generation` test).
 //!
 //! Two checks here *are* hard:
 //!
-//! * the simd backend's `conv2d_bias_fwd_bwd_27ch_16px` microbench must
-//!   take at most [`MAX_SIMD_CONV_US`] µs per iteration — the backend
-//!   split earns its complexity with its conv speed, so losing it is a
-//!   regression. The bound is on Simd's own time rather than a ratio
-//!   to Scalar's: Scalar's conv kernels are vectorized too, and the 2×
-//!   ratio it replaced failed on untouched conv code whenever Scalar
-//!   had a fast run;
+//! * the `conv2d_bias_fwd_bwd_27ch_16px` microbench must take at most
+//!   [`MAX_CONV_US`] µs per iteration, a bound the loop-nest conv
+//!   kernels the im2col GEMM replaced do not meet, so a change that
+//!   loses its speed fails here;
 //! * the projected per-step cost of the disabled observability layer
 //!   must stay under [`MAX_DISABLED_OBS_OVERHEAD_PCT`] of a training
-//!   step (measured under the scalar backend, whose step is the
-//!   baseline the budget was set against). The projection multiplies
+//!   step. The projection multiplies
 //!   the measured cost of one disabled gate probe by a counted (not
 //!   guessed) number of gate sites per step, so it cannot be fooled by
 //!   wall-clock noise the way a naive off-vs-on comparison can.
@@ -42,7 +37,7 @@ use spectragan_core::{SpectraGan, SpectraGanConfig, TrainConfig};
 use spectragan_nn::{Binding, Conv2d, Linear, ParamStore};
 use spectragan_obs as obs;
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
-use spectragan_tensor::{arena, set_backend, BackendKind, FusedAct, Tape, Tensor};
+use spectragan_tensor::{arena, FusedAct, Tape, Tensor};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -50,9 +45,9 @@ use std::time::Instant;
 /// step, as a percentage of the step itself.
 const MAX_DISABLED_OBS_OVERHEAD_PCT: f64 = 2.0;
 
-/// Hard ceiling on the simd backend's time for the
-/// `conv2d_bias_fwd_bwd_27ch_16px` microbench, in µs per iteration.
-const MAX_SIMD_CONV_US: f64 = 2500.0;
+/// Hard ceiling on the `conv2d_bias_fwd_bwd_27ch_16px` microbench, in
+/// µs per iteration.
+const MAX_CONV_US: f64 = 2000.0;
 
 /// The microbench the hard conv gate keys on.
 const CONV_GATE_BENCH: &str = "conv2d_bias_fwd_bwd_27ch_16px";
@@ -81,26 +76,6 @@ struct GenRow {
     wall_s: f64,
     mpx_steps_per_s: f64,
     peak_arena_mib: f64,
-}
-
-/// One backend's full sweep: kernel microbenches, a short training
-/// run, and the city-generation shapes.
-#[derive(Serialize)]
-struct BackendSweep {
-    backend: String,
-    micro: Vec<MicroRow>,
-    train: TrainGate,
-    generate: Vec<GenRow>,
-}
-
-/// Simd-over-scalar ratio for one measurement (>1 means simd is
-/// faster).
-#[derive(Serialize)]
-struct SpeedupRow {
-    name: String,
-    scalar: f64,
-    simd: f64,
-    speedup: f64,
 }
 
 #[derive(Serialize)]
@@ -142,8 +117,9 @@ struct WeightsGate {
 
 #[derive(Serialize)]
 struct Report {
-    backends: Vec<BackendSweep>,
-    speedups: Vec<SpeedupRow>,
+    micro: Vec<MicroRow>,
+    train: TrainGate,
+    generate: Vec<GenRow>,
     obs: ObsGate,
     weights: WeightsGate,
 }
@@ -252,7 +228,7 @@ fn train_gate() -> TrainGate {
     };
     // Warm-up run fills the buffer pool; the measured runs should then
     // be served from it. Best-of-three keeps one scheduler hiccup from
-    // skewing the cross-backend speedup table.
+    // skewing the step time.
     model
         .train(std::slice::from_ref(&city), &tc)
         .expect("warm-up training failed");
@@ -501,63 +477,17 @@ fn weights_gate() -> WeightsGate {
     WeightsGate { rows }
 }
 
-/// Runs the full measurement sweep under one pinned backend.
-fn backend_sweep(kind: BackendKind) -> BackendSweep {
-    set_backend(Some(kind));
-    let sweep = BackendSweep {
-        backend: kind.name().to_string(),
-        micro: micro_benches(),
-        train: train_gate(),
-        generate: gen_gate(),
-    };
-    set_backend(None);
-    sweep
-}
-
-/// Pairs up scalar vs. simd measurements into speedup rows. All rows
-/// are time-per-unit (µs/iter, ms/step, wall s), so speedup is always
-/// `scalar / simd`.
-fn speedups(scalar: &BackendSweep, simd: &BackendSweep) -> Vec<SpeedupRow> {
-    let mut rows = Vec::new();
-    for (s, v) in scalar.micro.iter().zip(&simd.micro) {
-        assert_eq!(s.name, v.name, "micro bench lists diverged");
-        rows.push(SpeedupRow {
-            name: s.name.clone(),
-            scalar: s.micros_per_iter,
-            simd: v.micros_per_iter,
-            speedup: s.micros_per_iter / v.micros_per_iter,
-        });
-    }
-    rows.push(SpeedupRow {
-        name: "train.ms_per_step".to_string(),
-        scalar: scalar.train.ms_per_step,
-        simd: simd.train.ms_per_step,
-        speedup: scalar.train.ms_per_step / simd.train.ms_per_step,
-    });
-    for (s, v) in scalar.generate.iter().zip(&simd.generate) {
-        assert_eq!(s.city, v.city, "generation sweep lists diverged");
-        rows.push(SpeedupRow {
-            name: format!("generate.{}x{}", s.city, s.t_out),
-            scalar: s.wall_s,
-            simd: v.wall_s,
-            speedup: s.wall_s / v.wall_s,
-        });
-    }
-    rows
-}
-
-fn print_sweep(sweep: &BackendSweep) {
-    println!("perf gate [{}] — kernel microbenches", sweep.backend);
+fn print_micro(micro: &[MicroRow]) {
+    println!("perf gate — kernel microbenches");
     println!("{:<36} {:>8} {:>14}", "bench", "iters", "us/iter");
-    for r in &sweep.micro {
+    for r in micro {
         println!("{:<36} {:>8} {:>14.1}", r.name, r.iters, r.micros_per_iter);
     }
     println!();
-    println!(
-        "perf gate [{}] — 10-step training run (after warm-up)",
-        sweep.backend
-    );
-    let t = &sweep.train;
+}
+
+fn print_train(t: &TrainGate) {
+    println!("perf gate — 10-step training run (after warm-up)");
     println!("{:<28} {:>12}", "ms/step", format!("{:.1}", t.ms_per_step));
     println!(
         "{:<28} {:>12}",
@@ -580,15 +510,15 @@ fn print_sweep(sweep: &BackendSweep) {
         format!("{:.1}", t.pooled_mib)
     );
     println!();
-    println!(
-        "perf gate [{}] — full-city generation (streaming sew)",
-        sweep.backend
-    );
+}
+
+fn print_generate(generate: &[GenRow]) {
+    println!("perf gate — full-city generation (streaming sew)");
     println!(
         "{:<10} {:>7} {:>10} {:>14} {:>16}",
         "city", "t_out", "wall s", "Mpx·steps/s", "peak arena MiB"
     );
-    for r in &sweep.generate {
+    for r in generate {
         println!(
             "{:<10} {:>7} {:>10.2} {:>14.2} {:>16.1}",
             r.city, r.t_out, r.wall_s, r.mpx_steps_per_s, r.peak_arena_mib
@@ -598,47 +528,26 @@ fn print_sweep(sweep: &BackendSweep) {
 }
 
 fn main() {
-    let scalar = backend_sweep(BackendKind::Scalar);
-    let simd = backend_sweep(BackendKind::Simd);
-
-    // The obs budget is defined against the scalar reference step
-    // (the ratio inflates mechanically as kernels get faster, which
-    // would punish the simd backend for being fast, not the gated
-    // layer for being slow). Pin the backend so the instrumented runs
-    // match the step the budget divides by.
-    set_backend(Some(BackendKind::Scalar));
-    let obs = obs_gate(scalar.train.ms_per_step);
+    let micro = micro_benches();
+    let train = train_gate();
+    let generate = gen_gate();
+    let obs = obs_gate(train.ms_per_step);
     let weights = weights_gate();
-    set_backend(None);
 
-    print_sweep(&scalar);
-    print_sweep(&simd);
+    print_micro(&micro);
+    print_train(&train);
+    print_generate(&generate);
 
-    let speedups = speedups(&scalar, &simd);
-    println!("perf gate — simd over scalar");
-    println!(
-        "{:<36} {:>12} {:>12} {:>9}",
-        "measurement", "scalar", "simd", "speedup"
-    );
-    for r in &speedups {
-        println!(
-            "{:<36} {:>12.2} {:>12.2} {:>8.2}x",
-            r.name, r.scalar, r.simd, r.speedup
-        );
-    }
-    let conv = speedups
+    let conv = micro
         .iter()
         .find(|r| r.name == CONV_GATE_BENCH)
         .expect("conv gate bench missing from sweep");
     assert!(
-        conv.simd <= MAX_SIMD_CONV_US,
-        "simd {CONV_GATE_BENCH} took {:.1} us/iter (scalar {:.1}) — over the \
-         {MAX_SIMD_CONV_US} us/iter bound",
-        conv.simd,
-        conv.scalar
+        conv.micros_per_iter <= MAX_CONV_US,
+        "{CONV_GATE_BENCH} took {:.1} us/iter — over the {MAX_CONV_US} us/iter bound",
+        conv.micros_per_iter
     );
 
-    println!();
     println!("perf gate — observability overhead");
     println!(
         "{:<28} {:>12}",
@@ -680,8 +589,9 @@ fn main() {
     }
 
     let report = Report {
-        backends: vec![scalar, simd],
-        speedups,
+        micro,
+        train,
+        generate,
         obs,
         weights,
     };

@@ -331,10 +331,6 @@ pub struct LogRecord {
     /// Wall-clock milliseconds the step took (including retries so
     /// far).
     pub wall_ms: f64,
-    /// Kernel backend the step ran under (`"scalar"` / `"simd"`);
-    /// logs written before backends existed read back as `"scalar"`,
-    /// which is what they ran.
-    pub backend: String,
     /// Gradient-accumulation micro-rounds; logs written before it
     /// existed read back as 1.
     pub grad_accum: usize,
@@ -352,8 +348,8 @@ pub struct LogRecord {
 
 // Manual Deserialize: divergence events legitimately carry NaN/inf
 // losses, which JSON renders as `null` — map those back to NaN instead
-// of failing the whole record. A `shards` key from older logs is
-// ignored.
+// of failing the whole record. The `shards` and `backend` keys of older
+// logs are ignored.
 impl serde::Deserialize for LogRecord {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let num = |key: &str| -> Result<f64, serde::DeError> {
@@ -375,10 +371,6 @@ impl serde::Deserialize for LogRecord {
             grad_norm_d: num("grad_norm_d")? as f32,
             grad_norm_g: num("grad_norm_g")? as f32,
             wall_ms: num("wall_ms")?,
-            backend: match v.get("backend") {
-                Some(serde::Value::Str(s)) => s.clone(),
-                _ => "scalar".to_string(),
-            },
             grad_accum: match v.get("grad_accum") {
                 Some(n) => usize::from_value(n)?,
                 None => 1,
@@ -608,7 +600,6 @@ mod tests {
                     grad_norm_d: 2.0,
                     grad_norm_g: 3.0,
                     wall_ms: 1.5,
-                    backend: "scalar".to_string(),
                     grad_accum: 1,
                     event: if step == 2 {
                         Some("divergence: d_loss = NaN".into())
@@ -656,8 +647,9 @@ mod tests {
 
     /// Log lines written before gradient accumulation carry no
     /// `grad_accum` key and read back as 1; lines that carry the
-    /// `shards` key of releases with worker processes still parse, and
-    /// the key is ignored.
+    /// `shards` key of releases with worker processes, or the `backend`
+    /// key of releases with two kernel sets, still parse, and those
+    /// keys are ignored.
     #[test]
     fn older_log_lines_still_deserialize() {
         let old_line = r#"{"step":7,"d_loss":0.5,"g_adv":1.25,"l1":0.1,"grad_norm_d":2.0,
@@ -665,17 +657,20 @@ mod tests {
             "op_stats":null,"spans":null}"#;
         let r: LogRecord = serde_json::from_str(old_line).unwrap();
         assert_eq!(r.step, 7);
-        assert_eq!(r.backend, "simd");
         assert_eq!(r.grad_accum, 1);
+        assert!(!serde_json::to_string(&r).unwrap().contains("backend"));
         let sharded_line = r#"{"step":3,"d_loss":0.5,"g_adv":1.25,"l1":0.1,"grad_norm_d":2.0,
             "grad_norm_g":3.0,"wall_ms":1.5,"backend":"scalar","shards":4,"grad_accum":2,
             "event":null,"op_stats":null,"spans":null}"#;
         let r: LogRecord = serde_json::from_str(sharded_line).unwrap();
         assert_eq!((r.step, r.grad_accum), (3, 2));
-        // The current writer records no topology, and the explicit
-        // accumulation factor survives a round trip.
+        // The current writer records no topology and no kernel set,
+        // and the explicit accumulation factor survives a round trip.
         let line = serde_json::to_string(&r).unwrap();
-        assert!(!line.contains("shards"), "{line}");
+        assert!(
+            !line.contains("shards") && !line.contains("backend"),
+            "{line}"
+        );
         let back: LogRecord = serde_json::from_str(&line).unwrap();
         assert_eq!(back.grad_accum, 2);
     }

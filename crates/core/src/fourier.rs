@@ -308,10 +308,10 @@ pub fn expand_rows_to_series(rows: &Tensor, t: usize, k: usize) -> Tensor {
 /// One matmul against the first `t_out` columns of the cached
 /// [`expanded_irfft_basis`]`(t, k)` — agreeing with the per-pixel
 /// `expand_spectrum` + `irfft` DSP path to ≤1e-4 (they are the same
-/// linear map; only the float rounding differs). Every backend's
-/// matmul sums element `(i, j)` in an order that does not depend on the
-/// column count, so the result is bit-identical to the first `t_out`
-/// columns of the full `k·t` expansion.
+/// linear map; only the float rounding differs). The matmul sums
+/// element `(i, j)` in an order that does not depend on the column
+/// count, so the result is bit-identical to the first `t_out` columns
+/// of the full `k·t` expansion.
 ///
 /// # Panics
 /// Panics if `t_out` is zero or the row width is not `2·(t/2 + 1)`.

@@ -275,12 +275,6 @@ impl SpectraGan {
         let start = Instant::now();
         let peak_region = arena::PeakRegion::begin();
         let sp_run = obs::span_cat("generate", "generate");
-        // Instantaneous backend marker, mirroring train_step: dropped
-        // immediately so it never parents the run's real spans.
-        drop(obs::span_cat(
-            spectragan_tensor::backend::kind().name(),
-            "backend",
-        ));
         let (cfg, store, gen) = self.parts();
         let ctx_std = &prepared.ctx_std;
         let grid = GridSpec::new(ctx_std.height(), ctx_std.width());

@@ -733,14 +733,6 @@ impl SpectraGan {
         // gradient tensors returned below are deep copies and survive
         // this reset on the next round.)
         tape.reset_keep_capacity();
-        // Instantaneous marker span naming the kernel backend this step
-        // runs under, so exported traces are attributable to scalar vs.
-        // simd. Dropped immediately: it must not become the parent of
-        // the step's real spans.
-        drop(obs::span_cat(
-            spectragan_tensor::backend::kind().name(),
-            "backend",
-        ));
         let mut rng = StdRng::seed_from_u64(step_seed(tc.seed, step, round_lane));
         // ---- Minibatch assembly -----------------------------------
         let sp = obs::span_cat("minibatch", "train");
@@ -916,7 +908,6 @@ impl StepOutcome {
             grad_norm_d: self.grad_norm_d,
             grad_norm_g: self.grad_norm_g,
             wall_ms,
-            backend: spectragan_tensor::backend::kind().name().to_string(),
             grad_accum: opts.grad_accum,
             event,
             op_stats,

@@ -7,8 +7,8 @@
 //! starts from the zero state and step `j` reads only earlier steps,
 //! so a `t_out`-step rollout is the prefix of a `k·T`-step one. The
 //! spectral path multiplies by the first `t_out` columns of the
-//! expanded basis, and every backend's matmul sums each output element
-//! in an order that does not depend on the column count.
+//! expanded basis, and the matmul sums each output element in an order
+//! that does not depend on the column count.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,10 +17,10 @@ use spectragan_core::{PreparedContext, SpectraGan, SpectraGanConfig, Variant};
 use spectragan_geo::TrafficMap;
 use spectragan_nn::{ParamStore, Tensor};
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
-use spectragan_tensor::{pool, set_backend, BackendKind};
+use spectragan_tensor::pool;
 use std::sync::Mutex;
 
-/// Backend and thread overrides are process-global; serialize.
+/// The thread override is process-global; serialize.
 static LOCK: Mutex<()> = Mutex::new(());
 
 fn bits(data: &[f32]) -> Vec<u32> {
@@ -29,7 +29,7 @@ fn bits(data: &[f32]) -> Vec<u32> {
 
 /// `Generator::infer_steps(t_out)` equals `Generator::infer(k)` cut to
 /// `t_out`, for every variant, at lengths on both sides of one and two
-/// training periods, under both backends at 1 and 2 threads.
+/// training periods, at 1 and 2 threads.
 #[test]
 fn t_out_steps_are_the_prefix_of_the_k_fold_generation() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -50,24 +50,20 @@ fn t_out_steps_are_the_prefix_of_the_k_fold_generation() {
         let ctx = Tensor::randn([2, cfg.context_channels, side, side], &mut rng);
         let px = cfg.patch_traffic;
         let z = Tensor::randn([2, cfg.noise_dim, px, px], &mut rng);
-        for backend in [BackendKind::Scalar, BackendKind::Simd] {
-            set_backend(Some(backend));
-            for threads in [1, 2] {
-                pool::set_threads(Some(threads));
-                for t_out in [1, t - 1, t, t + 1, 2 * t - 1, 2 * t] {
-                    let full = gen.infer(&store, &ctx, &z, t_out.div_ceil(t));
-                    let got = gen.infer_steps(&store, &ctx, &z, t_out);
-                    assert_eq!(got.shape().dims(), &[2 * px * px, t_out]);
-                    assert!(
-                        bits(got.data()) == bits(full.narrow(1, 0, t_out).data()),
-                        "{variant:?}, {backend:?}, threads={threads}, t_out={t_out}"
-                    );
-                }
+        for threads in [1, 2] {
+            pool::set_threads(Some(threads));
+            for t_out in [1, t - 1, t, t + 1, 2 * t - 1, 2 * t] {
+                let full = gen.infer(&store, &ctx, &z, t_out.div_ceil(t));
+                let got = gen.infer_steps(&store, &ctx, &z, t_out);
+                assert_eq!(got.shape().dims(), &[2 * px * px, t_out]);
+                assert!(
+                    bits(got.data()) == bits(full.narrow(1, 0, t_out).data()),
+                    "{variant:?}, threads={threads}, t_out={t_out}"
+                );
             }
         }
     }
     pool::set_threads(None);
-    set_backend(None);
 }
 
 /// Within one `k` band, a city generated at `t1` steps is the first

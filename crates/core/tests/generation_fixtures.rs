@@ -2,12 +2,13 @@
 //!
 //! `tests/fixtures/generation_hashes.txt` holds one FNV-1a hash of the
 //! output bits of [`SpectraGan::generate_batched_report`] per variant ×
-//! `t_out` × backend × thread count, for freshly initialized
-//! `default_hourly` models on a 12×12 city, the smallest grid synthdata
-//! builds (four patches, one chunk each). `t_out` 24 runs inside one training period and 200 crosses
-//! into the second (`k = 2`). A change that moves one generated bit on
-//! either backend fails here, whatever it touched: the encoder, the
-//! spectral path, the LSTM rollout or the sew.
+//! `t_out` × thread count, for freshly initialized `default_hourly`
+//! models on a 12×12 city, the smallest grid synthdata builds (four
+//! patches, one chunk each). `t_out` 24 runs inside one training period
+//! and 200 crosses into the second (`k = 2`). A change that moves one
+//! generated bit fails here, whatever it touched: the encoder, the
+//! spectral path, the LSTM rollout or the sew. The `scalar` in each
+//! line's name is the kernel set's name from when there were two.
 //!
 //! Re-record (only when the *intended* numerics change) with:
 //!
@@ -17,7 +18,7 @@
 
 use spectragan_core::{SpectraGan, SpectraGanConfig, Variant};
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
-use spectragan_tensor::{pool, set_backend, BackendKind};
+use spectragan_tensor::pool;
 
 const VARIANTS: [(&str, Variant); 5] = [
     ("full", Variant::Full),
@@ -43,7 +44,7 @@ fn fnv1a(data: &[f32]) -> u64 {
     h
 }
 
-/// One line per (variant, backend, threads, t_out): `name hash`.
+/// One line per (variant, threads, t_out): `name hash`.
 fn hash_lines() -> Vec<String> {
     let ds = DatasetConfig {
         weeks: 1,
@@ -62,24 +63,18 @@ fn hash_lines() -> Vec<String> {
     let mut lines = Vec::new();
     for (name, variant) in VARIANTS {
         let model = SpectraGan::new(SpectraGanConfig::default_hourly().with_variant(variant), 4);
-        for (backend_name, backend) in
-            [("scalar", BackendKind::Scalar), ("simd", BackendKind::Simd)]
-        {
-            set_backend(Some(backend));
-            for threads in [1, 2] {
-                pool::set_threads(Some(threads));
-                for t_out in [24, 200] {
-                    let (map, _) = model.generate_batched_report(&city.context, t_out, 23, true, 1);
-                    lines.push(format!(
-                        "{name}/{backend_name}/t{threads}/{t_out} {:016x}",
-                        fnv1a(map.data())
-                    ));
-                }
+        for threads in [1, 2] {
+            pool::set_threads(Some(threads));
+            for t_out in [24, 200] {
+                let (map, _) = model.generate_batched_report(&city.context, t_out, 23, true, 1);
+                lines.push(format!(
+                    "{name}/scalar/t{threads}/{t_out} {:016x}",
+                    fnv1a(map.data())
+                ));
             }
         }
     }
     pool::set_threads(None);
-    set_backend(None);
     lines
 }
 

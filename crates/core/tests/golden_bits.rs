@@ -22,7 +22,7 @@
 use spectragan_core::{SpectraGan, SpectraGanConfig, TrainConfig};
 use spectragan_geo::City;
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
-use spectragan_tensor::{pool, set_backend, BackendKind};
+use spectragan_tensor::pool;
 
 /// `pool::set_threads` is process-global; serialize the two sweeps.
 static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -87,14 +87,9 @@ fn text_to_bits(text: &str) -> Vec<u32> {
 }
 
 fn check_or_record(name: &str, cfg: SpectraGanConfig, threads: usize) {
-    // The fixtures were recorded against the reference kernels; pin the
-    // Scalar backend explicitly so this byte-equality contract holds
-    // even when the suite runs under `SPECTRAGAN_BACKEND=simd`.
-    set_backend(Some(BackendKind::Scalar));
     pool::set_threads(Some(threads));
     let bits = trained_bits(cfg);
     pool::set_threads(None);
-    set_backend(None);
     let path = fixture_path(name, threads);
     if std::env::var("GOLDEN_RECORD").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();

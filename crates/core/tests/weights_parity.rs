@@ -3,9 +3,9 @@
 //! * **Containers are invisible.** Generation from a model loaded out
 //!   of an `SGWT` container is bit-identical to generation from the
 //!   same model loaded out of the JSON model file — the container is a
-//!   storage change, never a numerics change. Checked per backend, for
-//!   both the offline map and the streamed bands a server forwards as
-//!   SGBD chunks.
+//!   storage change, never a numerics change. Checked for both the
+//!   offline map and the streamed bands a server forwards as SGBD
+//!   chunks.
 //! * **Reduced-precision containers are refused.** The f16 (version 1,
 //!   dtype 1) and int8 (version 2) containers earlier releases wrote
 //!   fail to open with a typed error naming the dtype or version. The
@@ -16,15 +16,6 @@ use spectragan_core::weights::{self, Precision, WeightStore};
 use spectragan_core::{CoreError, PreparedContext, SpectraGan, SpectraGanConfig};
 use spectragan_geo::TrafficMap;
 use spectragan_synthdata::{generate_city, CityConfig, DatasetConfig};
-use spectragan_tensor::{set_backend, BackendKind};
-
-/// `set_backend` is process-global; serialize the tests in this binary
-/// (other integration test files run as separate processes).
-static BACKEND_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    BACKEND_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn tiny_city(seed: u64) -> spectragan_geo::City {
     let ds = DatasetConfig {
@@ -73,7 +64,6 @@ fn bits(m: &TrafficMap) -> Vec<u32> {
 
 #[test]
 fn sgwt_f32_generation_is_bit_identical_to_json_path() {
-    let _g = lock();
     let model = SpectraGan::new(SpectraGanConfig::tiny(), 11);
     let city = tiny_city(5);
 
@@ -85,25 +75,13 @@ fn sgwt_f32_generation_is_bit_identical_to_json_path() {
     let from_json = weights::load_model_auto(&json_path).unwrap();
     let from_sgwt = weights::load_model_auto(&sgwt_path).unwrap();
 
-    for kind in [BackendKind::Scalar, BackendKind::Simd] {
-        set_backend(Some(kind));
-        let a = from_json.generate(&city.context, 24, 7);
-        let b = from_sgwt.generate(&city.context, 24, 7);
-        assert_eq!(a.len_t(), b.len_t());
-        assert_eq!(
-            bits(&a),
-            bits(&b),
-            "{kind:?}: f32 container changed generation"
-        );
-        // The streamed (served) bytes are the same bytes.
-        let streamed = generate_streamed(&from_sgwt, &city, 24);
-        assert_eq!(
-            bits(&a),
-            bits(&streamed),
-            "{kind:?}: f32 streamed bands diverged"
-        );
-    }
-    set_backend(None);
+    let a = from_json.generate(&city.context, 24, 7);
+    let b = from_sgwt.generate(&city.context, 24, 7);
+    assert_eq!(a.len_t(), b.len_t());
+    assert_eq!(bits(&a), bits(&b), "f32 container changed generation");
+    // The streamed (served) bytes are the same bytes.
+    let streamed = generate_streamed(&from_sgwt, &city, 24);
+    assert_eq!(bits(&a), bits(&streamed), "f32 streamed bands diverged");
 
     std::fs::remove_file(&json_path).ok();
     std::fs::remove_file(&sgwt_path).ok();

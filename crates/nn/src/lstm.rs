@@ -199,10 +199,10 @@ impl Lstm {
     /// input projection `xw: [N, 4·hidden]` (see
     /// [`Lstm::precompute_input`]), reading each step's hidden state
     /// through the one-output `head`: returns the series `[N, steps]`
-    /// as one tape node ([`Var::lstm_rollout`]). Under the scalar
-    /// backend its value and gradients are bit-identical to the step
-    /// loop of [`Lstm::step_projected`] and [`Linear::forward`] joined
-    /// by [`Var::concat`].
+    /// as one tape node ([`Var::lstm_rollout`]). Its value and
+    /// gradients are bit-identical to the step loop of
+    /// [`Lstm::step_projected`] and [`Linear::forward`] joined by
+    /// [`Var::concat`].
     ///
     /// # Panics
     /// Panics unless `xw` is `[N, 4·hidden]`, `head` maps `hidden`
@@ -221,10 +221,9 @@ impl Lstm {
     /// [N, T]`, feeding step `t` the input `[series[:, t], ctx]` (so
     /// `input_size` is `1 + C` for `ctx: [N, C]`), and returns the last
     /// hidden state `[N, hidden]` as one tape node
-    /// ([`Var::lstm_last_hidden`]). Under the scalar backend its value
-    /// and gradients are bit-identical to the step loop of
-    /// [`Lstm::step`] over `Var::concat(&[series.narrow(1, t, 1),
-    /// ctx], 1)`.
+    /// ([`Var::lstm_last_hidden`]). Its value and gradients are
+    /// bit-identical to the step loop of [`Lstm::step`] over
+    /// `Var::concat(&[series.narrow(1, t, 1), ctx], 1)`.
     ///
     /// # Panics
     /// Panics on mismatched shapes or an empty series.
@@ -246,11 +245,9 @@ impl Lstm {
     /// This is the forward kernel of [`Lstm::rollout`] without a tape
     /// ([`spectragan_tensor::lstm_seq::rollout`]): each row runs all of
     /// its steps in scratch of its own, and rows are spread over the
-    /// pool. Under the scalar backend the result is bit-identical to
-    /// the step loop of [`Lstm::step_infer_projected`] and
-    /// [`Linear::forward_infer`], at any thread count; under any
-    /// backend it is bit-identical across thread counts and to the
-    /// taped rollout's value.
+    /// pool. The result is bit-identical to the step loop of
+    /// [`Lstm::step_infer_projected`] and [`Linear::forward_infer`] at
+    /// any thread count, and to the taped rollout's value.
     ///
     /// # Panics
     /// Panics unless `xw` is `[N, 4·hidden]` and `head` maps `hidden`

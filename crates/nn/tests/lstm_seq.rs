@@ -5,9 +5,9 @@
 //! a whole sequence. The reference is the step loop they replaced, kept
 //! as the public per-step API: [`Lstm::step_projected`] with
 //! [`Linear::forward`] joined by [`Var::concat`], and [`Lstm::step`]
-//! over `Var::concat(&[series.narrow(1, t, 1), ctx], 1)`. Under the
-//! scalar backend every property compares the bits of the node's value
-//! and of every gradient the graph produces: `Wx`, `Wh`, `b`, the
+//! over `Var::concat(&[series.narrow(1, t, 1), ctx], 1)`. Every
+//! property compares the bits of the node's value and of every
+//! gradient the graph produces: `Wx`, `Wh`, `b`, the
 //! head's weight and bias, and the `xw`, series and context inputs.
 //! Weights, inputs and the upstream gradient are seeded with `±0.0`,
 //! `±inf` and NaN, whose results depend on order and sign where finite
@@ -25,10 +25,10 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use spectragan_nn::{Binding, Linear, Lstm, ParamStore, Tape, Tensor, Var};
-use spectragan_tensor::{pool, set_backend, BackendKind};
+use spectragan_tensor::pool;
 use std::sync::Mutex;
 
-/// Backend and thread overrides are process-global; serialize.
+/// The thread override is process-global; serialize.
 static LOCK: Mutex<()> = Mutex::new(());
 
 const THREADS: [usize; 3] = [1, 2, 4];
@@ -226,10 +226,9 @@ fn check_last_hidden(
 }
 
 /// Runs the reference once and the fused graph at every thread count in
-/// [`THREADS`], under the scalar backend.
+/// [`THREADS`].
 fn sweep(run: impl Fn(bool) -> Bits, names: &[&str], case: &str) -> Result<(), String> {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_backend(Some(BackendKind::Scalar));
     pool::set_threads(Some(1));
     let want = run(false);
     let mut outcome = Ok(());
@@ -241,7 +240,6 @@ fn sweep(run: impl Fn(bool) -> Bits, names: &[&str], case: &str) -> Result<(), S
         }
     }
     pool::set_threads(None);
-    set_backend(None);
     outcome
 }
 

@@ -1,17 +1,15 @@
 //! `Lstm::rollout_infer` against the step loop it replaces
 //! (`step_infer_projected` + `Linear::forward_infer`, one step at a
-//! time): bit-identical under the scalar backend at every thread
-//! count, and bit-identical across thread counts under the simd
-//! backend.
+//! time): bit-identical at every thread count.
 //!
-//! The backend and the pool width are process-global, so every test
-//! holds `LOCK` while it changes them.
+//! The pool width is process-global, so every test holds `LOCK` while
+//! it changes it.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use spectragan_nn::{Linear, Lstm, ParamStore};
-use spectragan_tensor::{pool, set_backend, BackendKind, Tensor};
+use spectragan_tensor::{pool, Tensor};
 use std::sync::{Mutex, MutexGuard};
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -85,8 +83,8 @@ fn rollout_at(c: &Case, t_out: usize, threads: usize) -> Tensor {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Under the scalar backend the rollout is the step loop, bit for
-    /// bit, at 1, 2 and 4 threads.
+    /// The rollout is the step loop, bit for bit, at 1, 2 and 4
+    /// threads.
     #[test]
     fn scalar_rollout_is_bit_identical_to_step_loop(
         rows in 1usize..40,
@@ -96,34 +94,15 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let _g = lock();
-        set_backend(Some(BackendKind::Scalar));
         let c = case(rows, hidden, seed);
         let want = step_loop(&c, t_out);
         let got = rollout_at(&c, t_out, THREADS[threads_at]);
-        set_backend(None);
         prop_assert_eq!(got.shape().dims(), &[rows, t_out]);
         prop_assert!(
             bits(&got) == bits(&want),
             "rows {rows} hidden {hidden} t_out {t_out} threads {}",
             THREADS[threads_at]
         );
-    }
-
-    /// Under the simd backend the rollout does not depend on the
-    /// thread count.
-    #[test]
-    fn simd_rollout_is_thread_count_invariant(
-        rows in 1usize..40,
-        hidden in 1usize..12,
-        t_out in 1usize..60,
-        seed in 0u64..1000,
-    ) {
-        let _g = lock();
-        set_backend(Some(BackendKind::Simd));
-        let c = case(rows, hidden, seed);
-        let runs: Vec<Vec<u32>> = THREADS.iter().map(|&t| bits(&rollout_at(&c, t_out, t))).collect();
-        set_backend(None);
-        prop_assert!(runs.iter().all(|r| *r == runs[0]));
     }
 }
 
@@ -134,7 +113,6 @@ proptest! {
 #[test]
 fn below_cutoff_rollout_matches_step_loop() {
     let _g = lock();
-    set_backend(Some(BackendKind::Scalar));
     let (rows, hidden) = (64, 16);
     for t_out in [1, 12] {
         assert!(rows * t_out * (hidden + 1) * 4 * hidden < pool::MIN_PARALLEL_MACS);
@@ -147,7 +125,6 @@ fn below_cutoff_rollout_matches_step_loop() {
             );
         }
     }
-    set_backend(None);
 }
 
 /// Degenerate shapes: no rows or no steps give an empty result.

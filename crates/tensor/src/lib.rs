@@ -40,17 +40,18 @@
 //! tricks, shapes are checked at runtime with precise panic messages,
 //! and every op has a numerical gradient check in the test suite.
 //!
-//! Heavy kernels (the conv2d and matmul families) dispatch through the
-//! [`backend`] layer — a bit-exact scalar reference backend and an
-//! im2col + blocked-GEMM SIMD backend, selected via `SPECTRAGAN_BACKEND`
-//! or [`set_backend`] — and run on the deterministic work-stealing pool
-//! in [`pool`]; per backend, results are bit-identical at every thread
-//! count because work is split into index-addressed tiles with
-//! unchanged per-tile summation order.
+//! Heavy kernels — the conv2d family (an im2col GEMM that adds each
+//! product in the historical loop nests' order), the matmul and the
+//! LSTM sequence — are one kernel set: nothing selects between
+//! implementations. They run on the deterministic pool in [`pool`], and
+//! results are bit-identical at every thread count because work is
+//! split into index-addressed tiles with unchanged per-tile summation
+//! order.
 
 pub mod arena;
 pub mod backend;
-pub mod envctl;
+mod conv;
+mod isa;
 pub mod lstm_seq;
 pub mod math;
 pub mod ops;
@@ -60,7 +61,8 @@ pub mod tape;
 pub mod tensor;
 
 pub use arena::ArenaStats;
-pub use backend::{set_backend, Backend, BackendKind};
+#[doc(hidden)]
+pub use conv::{conv2d_grad_input_per_entry, conv2d_per_entry};
 pub use ops::{FusedAct, Op};
 pub use shape::Shape;
 pub use tape::{Gradients, Tape, Var};

@@ -25,9 +25,9 @@
 //! **Exactness.** The node replaces a chain of per-step tape ops
 //! (matmul, add, `add_rowvec`, four `narrow`s and their activations,
 //! the cell products, the head and a `concat`, or the per-step
-//! `narrow`/`concat` of the input). Under the scalar backend every
-//! forward value and every gradient is bit-identical to that chain,
-//! because the kernels below replay its arithmetic:
+//! `narrow`/`concat` of the input). Every forward value and every
+//! gradient is bit-identical to that chain, because the kernels below
+//! replay its arithmetic:
 //!
 //! * Every matrix product goes through [`gemm`], which sums each
 //!   element like the scalar matmul: in a register from `+0.0`, in
@@ -57,28 +57,24 @@
 //! on it.
 //!
 //! **Entries.** Each kernel is one `#[inline(always)]` body compiled
-//! twice: a baseline entry, and an entry built with AVX2 enabled, which
-//! runs when the CPU reports AVX2 ([`Isa::detect`]). Rust never fuses a
-//! multiply and an add into one rounding, and the AVX2 entry does not
-//! enable FMA, so both entries compute the same bits; the unit tests
-//! below check this.
+//! twice, a baseline entry and an AVX2 entry (see [`crate::isa`]); both
+//! compute the same bits, and the unit tests below check this.
 //!
 //! **Parallelism.** Rows are independent recurrences: the forward pass
 //! and the per-row half of the backward run each block of rows in its
 //! own slice, one pool call per pass. The weight gradients are split by
 //! step, one pool call, and folded into the slots in step order on the
 //! calling thread. Which thread ran a block never changes what it
-//! computes, so results are bit-identical at any thread count, under
-//! either backend. Every buffer of the taped node comes from the
-//! calling thread's [`arena`] before the pool call and reaches the
-//! workers as disjoint slices.
+//! computes, so results are bit-identical at any thread count. Every
+//! buffer of the taped node comes from the calling thread's [`arena`]
+//! before the pool call and reaches the workers as disjoint slices.
 //!
 //! Activations are [`math`]'s `sigmoid_slice` and `tanh_slice`,
 //! inlined into each entry, so the AVX2 entry runs them on packed
-//! lanes. They are the functions the per-step ops use, under both
-//! backends, and so is every other step: one implementation for both.
+//! lanes. They are the functions the per-step ops use.
 
 use crate::arena;
+use crate::isa::Isa;
 use crate::math;
 use crate::pool;
 use crate::tensor::Tensor;
@@ -188,28 +184,6 @@ macro_rules! by_rows {
             m => unreachable!("a block of {m} rows"),
         }
     };
-}
-
-/// Which compiled copy of a kernel runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
-    /// Built for the target's baseline features.
-    Base,
-    /// Built with AVX2 enabled. Only [`Isa::detect`] and the tests make
-    /// it, and only on a CPU that reports AVX2.
-    #[cfg(target_arch = "x86_64")]
-    Avx2,
-}
-
-impl Isa {
-    /// The AVX2 entry when the CPU has AVX2, else the baseline one.
-    fn detect() -> Isa {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            return Isa::Avx2;
-        }
-        Isa::Base
-    }
 }
 
 /// `out[i][k] = Σ_l a(i, l) · b(l)[k]` for `i < M`, `k < n` (the
@@ -1136,7 +1110,6 @@ mod tests {
     //! operation on NaNs returns.
 
     use super::*;
-    use crate::backend::{set_backend, BackendKind, TEST_LOCK};
     use crate::tape::{Tape, Var};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -1279,10 +1252,8 @@ mod tests {
 
     #[test]
     fn entries_match_each_other_and_the_step_loop() {
-        let _g = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_backend(Some(BackendKind::Scalar));
-        let avx2 = Isa::detect();
-        if avx2 == Isa::Base {
+        let entries = Isa::all();
+        if entries.len() == 1 {
             eprintln!("no AVX2 on this CPU: checking the baseline entry alone");
         }
         let mut rng = StdRng::seed_from_u64(0x15a);
@@ -1299,11 +1270,9 @@ mod tests {
                     .map(|t| t.shape().to_string())
                     .collect::<Vec<_>>()
             );
-            assert_eq!(fused(&c, Isa::Base), want, "baseline entry, {shape}");
-            if avx2 != Isa::Base {
-                assert_eq!(fused(&c, avx2), want, "AVX2 entry, {shape}");
+            for &isa in &entries {
+                assert_eq!(fused(&c, isa), want, "{} entry, {shape}", isa.name());
             }
         }
-        set_backend(None);
     }
 }

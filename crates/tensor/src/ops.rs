@@ -260,11 +260,10 @@ pub(crate) fn apply_act_inplace(y: &mut Tensor, act: FusedAct) {
     apply_act_slice(y.data_mut(), act);
 }
 
-/// Forward kernel of [`Op::MatmulBiasAct`]: validates shapes, then
-/// dispatches to the active backend's fused kernel. On the scalar
-/// backend this is the plain matmul kernel, then the bias added in
-/// `add_rowvec`'s loop order, then the activation in place — bit-equal
-/// to the unfused three-node chain.
+/// Forward kernel of [`Op::MatmulBiasAct`]: validates shapes, then runs
+/// the plain matmul kernel, the bias added in `add_rowvec`'s loop
+/// order, and the activation in place — bit-equal to the unfused
+/// three-node chain.
 pub(crate) fn matmul_bias_act_forward(a: &Tensor, w: &Tensor, b: &Tensor, act: FusedAct) -> Tensor {
     crate::tensor::matmul_check(a, w);
     let m = w.shape().dim(1);
@@ -274,15 +273,21 @@ pub(crate) fn matmul_bias_act_forward(a: &Tensor, w: &Tensor, b: &Tensor, act: F
         "bias shape {} does not match row width {m}",
         b.shape()
     );
-    crate::backend::active().matmul_bias_act(a, w, b, act)
+    let mut y = a.matmul(w);
+    for row in y.data_mut().chunks_exact_mut(m.max(1)) {
+        for (v, &bv) in row.iter_mut().zip(b.data()) {
+            *v += bv;
+        }
+    }
+    apply_act_inplace(&mut y, act);
+    y
 }
 
-/// Forward kernel of [`Op::Conv2dBias`]: validates shapes, then
-/// dispatches to the active backend's fused kernel. On the scalar
-/// backend this is the plain conv2d kernel, then the bias added in
-/// `add_channel_bias`'s loop order.
+/// Forward kernel of [`Op::Conv2dBias`]: validates shapes, then runs
+/// the plain conv2d kernel and adds the bias in `add_channel_bias`'s
+/// loop order.
 pub(crate) fn conv2d_bias_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize) -> Tensor {
-    crate::backend::conv2d_out_shape(x.shape(), w.shape(), pad);
+    crate::conv::conv2d_out_shape(x.shape(), w.shape(), pad);
     let c = w.shape().dim(0);
     assert_eq!(
         b.shape().dims(),
@@ -290,7 +295,9 @@ pub(crate) fn conv2d_bias_forward(x: &Tensor, w: &Tensor, b: &Tensor, pad: usize
         "bias shape {} does not match channels {c}",
         b.shape()
     );
-    crate::backend::active().conv2d_bias(x, w, b, pad)
+    let mut y = x.conv2d(w, pad);
+    crate::conv::add_channel_bias_inplace(&mut y, b);
+    y
 }
 
 /// Pre-activation gradient of a fused activation, from the upstream

@@ -55,9 +55,12 @@ fn metrics() -> &'static PoolMetrics {
     })
 }
 
-/// The `SPECTRAGAN_THREADS` knob, sharing the override/env/default
-/// resolution contract of [`crate::envctl`].
-static THREADS: crate::envctl::EnvCtl = crate::envctl::EnvCtl::new("SPECTRAGAN_THREADS");
+/// The [`set_threads`] override; 0 means none is installed.
+static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
+
+/// The environment/default resolution of the worker count, computed
+/// on first use (see [`resolve_threads`]).
+static THREADS_FROM_ENV: OnceLock<usize> = OnceLock::new();
 
 /// Overrides the worker count for subsequent parallel calls.
 /// `Some(n)` forces `n` workers (`n >= 1`); `None` restores the
@@ -69,19 +72,47 @@ pub fn set_threads(n: Option<usize>) {
     if let Some(n) = n {
         assert!(n >= 1, "thread count must be at least 1");
     }
-    THREADS.set(n);
+    THREADS_OVERRIDE.store(n.unwrap_or(0), Ordering::Relaxed);
 }
 
 /// The worker count parallel routines will use right now: the
 /// [`set_threads`] override, else `SPECTRAGAN_THREADS`, else
-/// [`std::thread::available_parallelism`]. The environment/default
-/// resolution is cached on first use (see [`crate::envctl`]).
+/// [`std::thread::available_parallelism`].
 pub fn threads() -> usize {
-    THREADS.get(crate::envctl::parse_count, || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    resolve_threads(
+        THREADS_OVERRIDE.load(Ordering::Relaxed),
+        &THREADS_FROM_ENV,
+        "SPECTRAGAN_THREADS",
+    )
+}
+
+/// `forced` when it is non-zero, else the count `var` holds, else the
+/// machine's parallelism. The variable is read once and the result
+/// cached in `cached` for the life of the process: `std::env::var`
+/// takes the process environment lock and allocates, far too dear for
+/// a per-call query. A malformed or zero value falls through to the
+/// default.
+fn resolve_threads(forced: usize, cached: &OnceLock<usize>, var: &str) -> usize {
+    if forced != 0 {
+        return forced;
+    }
+    *cached.get_or_init(|| {
+        std::env::var(var)
+            .ok()
+            .and_then(|v| parse_count(&v))
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism()
+                    .map(|n| n.get())
+                    .unwrap_or(1)
+            })
     })
+}
+
+/// Parses a positive count (`n >= 1`), the shape of
+/// `SPECTRAGAN_THREADS`. Zero, negative or malformed values are
+/// rejected.
+fn parse_count(s: &str) -> Option<usize> {
+    s.trim().parse::<usize>().ok().filter(|&n| n >= 1)
 }
 
 /// Runs `f(0..n_tasks)` across the pool and returns the results in
@@ -493,6 +524,62 @@ mod tests {
         assert_eq!(threads(), 3);
         set_threads(None);
         assert!(threads() >= 1);
+    }
+
+    /// The machine default [`resolve_threads`] falls back to.
+    fn machine_threads() -> usize {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+
+    // The resolution tests below each read their own variable into
+    // their own cache, so they neither race nor see `SPECTRAGAN_THREADS`.
+
+    #[test]
+    fn override_beats_environment_and_default() {
+        let var = "SPECTRAGAN_POOL_TEST_A";
+        std::env::set_var(var, "5");
+        assert_eq!(resolve_threads(3, &OnceLock::new(), var), 3);
+        assert_eq!(resolve_threads(0, &OnceLock::new(), var), 5);
+        std::env::remove_var(var);
+        assert_eq!(resolve_threads(0, &OnceLock::new(), var), machine_threads());
+    }
+
+    #[test]
+    fn environment_is_read_once_and_cached() {
+        let var = "SPECTRAGAN_POOL_TEST_B";
+        let cached = OnceLock::new();
+        std::env::set_var(var, "5");
+        assert_eq!(resolve_threads(0, &cached, var), 5);
+        // Later environment changes are deliberately invisible.
+        std::env::set_var(var, "9");
+        assert_eq!(resolve_threads(0, &cached, var), 5);
+        std::env::remove_var(var);
+    }
+
+    #[test]
+    fn malformed_or_zero_environment_falls_back_to_default() {
+        let var = "SPECTRAGAN_POOL_TEST_C";
+        for bad in ["zero", "0", "-2", ""] {
+            std::env::set_var(var, bad);
+            let got = resolve_threads(0, &OnceLock::new(), var);
+            assert_eq!(got, machine_threads(), "{bad:?}");
+        }
+        std::env::remove_var(var);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread count must be at least 1")]
+    fn zero_thread_override_is_rejected() {
+        set_threads(Some(0));
+    }
+
+    #[test]
+    fn parse_count_accepts_positive_rejects_rest() {
+        assert_eq!(parse_count("4"), Some(4));
+        assert_eq!(parse_count("  2 \n"), Some(2));
+        assert_eq!(parse_count("0"), None);
+        assert_eq!(parse_count("-1"), None);
+        assert_eq!(parse_count("many"), None);
     }
 
     #[test]

@@ -541,9 +541,8 @@ impl Var {
     /// recurrent weight `wh: [H, 4H]`, bias `b: [4H]` and the
     /// one-output head `(head_w: [H, 1], head_b: [1])` read at every
     /// step; returns the head series `[N, steps]` as one
-    /// [`Op::LstmSeq`] node. Bit-equal under the scalar backend, value
-    /// and gradients, to the per-step chain it replaces (see
-    /// [`crate::lstm_seq`]).
+    /// [`Op::LstmSeq`] node. Bit-equal, value and gradients, to the
+    /// per-step chain it replaces (see [`crate::lstm_seq`]).
     ///
     /// # Panics
     /// Panics on mismatched shapes or tapes, on zero steps, or when two

@@ -300,20 +300,39 @@ impl Tensor {
     // Linear algebra
     // ------------------------------------------------------------------
 
-    /// Matrix product of two rank-2 tensors: `[m, k] @ [k, n] → [m, n]`,
-    /// dispatched to the active [`crate::backend`].
+    /// Matrix product of two rank-2 tensors: `[m, k] @ [k, n] → [m, n]`.
+    ///
+    /// Each output element is summed in ascending inner index from
+    /// `+0.0`, skipping the terms whose left operand is exactly zero
+    /// (the value path's one-hot conditioning rows make these common);
+    /// the `n` loop is an axpy over one row of `other`.
     ///
     /// # Panics
     /// Panics unless both operands are rank 2 with matching inner dims.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         matmul_check(self, other);
-        crate::backend::active().matmul(self, other)
+        let (m, k) = (self.shape.dim(0), self.shape.dim(1));
+        let n = other.shape.dim(1);
+        let mut out = arena::take_zeroed(m * n);
+        for i in 0..m {
+            let a_row = &self.data[i * k..(i + 1) * k];
+            let o_row = &mut out[i * n..(i + 1) * n];
+            for (p, &av) in a_row.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                let b_row = &other.data[p * n..(p + 1) * n];
+                for (o, &bv) in o_row.iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Tensor::from_vec(out, [m, n])
     }
 
     /// `self @ otherᵀ` for rank-2 tensors: `[m, k] @ [n, k]ᵀ → [m, n]`.
     ///
-    /// Semantically identical to `self.matmul(&other.transpose2())`;
-    /// backends may skip materializing the transpose.
+    /// Computed as `self.matmul(&other.transpose2())`.
     ///
     /// # Panics
     /// Panics unless both operands are rank 2 with matching inner dims.
@@ -337,13 +356,12 @@ impl Tensor {
             self.shape,
             other.shape
         );
-        crate::backend::active().matmul_bt(self, other)
+        self.matmul(&other.transpose2())
     }
 
     /// `selfᵀ @ other` for rank-2 tensors: `[m, k]ᵀ @ [m, n] → [k, n]`.
     ///
-    /// Semantically identical to `self.transpose2().matmul(other)`;
-    /// backends may skip materializing the transpose.
+    /// Computed as `self.transpose2().matmul(other)`.
     ///
     /// # Panics
     /// Panics unless both operands are rank 2 with matching inner dims.
@@ -367,7 +385,7 @@ impl Tensor {
             self.shape,
             other.shape
         );
-        crate::backend::active().matmul_tb(self, other)
+        self.transpose2().matmul(other)
     }
 
     /// Transpose of a rank-2 tensor.
@@ -396,37 +414,47 @@ impl Tensor {
     /// `weight [Cout, Cin, KH, KW]`, stride 1, zero padding `pad` on all
     /// sides. Output is `[N, Cout, H + 2·pad − KH + 1, W + 2·pad − KW + 1]`.
     ///
-    /// Dispatched to the active [`crate::backend`]; each backend is
-    /// bit-identical to itself at every thread count.
+    /// Each output element sums its taps in `(ic, ky, kx)` order from
+    /// `+0.0`, skipping taps that land in the padding: the historical
+    /// loop nest's bits, at any thread count.
     ///
     /// # Panics
     /// Panics on rank/channel mismatches, zero-extent kernels, or
     /// kernels larger than the padded input.
     pub fn conv2d(&self, weight: &Tensor, pad: usize) -> Tensor {
-        crate::backend::active().conv2d(self, weight, pad)
+        crate::conv::conv2d(self, weight, pad)
     }
 
     /// Gradient of [`Tensor::conv2d`] with respect to the input, given
-    /// the upstream gradient `grad_out [N, Cout, OH, OW]`. Dispatched
-    /// to the active [`crate::backend`].
+    /// the upstream gradient `grad_out [N, Cout, OH, OW]`. Each input
+    /// element receives its terms in `(oc, oy, ox)` order from `+0.0`.
+    ///
+    /// # Panics
+    /// Panics on rank/channel mismatches, zero-extent kernels, or a
+    /// `grad_out` plane that is not the forward output of
+    /// (`input_shape`, `weight`, `pad`).
     pub fn conv2d_grad_input(
         grad_out: &Tensor,
         weight: &Tensor,
         input_shape: &Shape,
         pad: usize,
     ) -> Tensor {
-        crate::backend::active().conv2d_grad_input(grad_out, weight, input_shape, pad)
+        crate::conv::conv2d_grad_input(grad_out, weight, input_shape, pad)
     }
 
-    /// Gradient of [`Tensor::conv2d`] with respect to the weight.
-    /// Dispatched to the active [`crate::backend`].
+    /// Gradient of [`Tensor::conv2d`] with respect to the weight. Each
+    /// weight element receives its terms in `(b, oy, ox)` order from
+    /// `+0.0`.
+    ///
+    /// # Panics
+    /// As [`Tensor::conv2d_grad_input`].
     pub fn conv2d_grad_weight(
         grad_out: &Tensor,
         input: &Tensor,
         weight_shape: &Shape,
         pad: usize,
     ) -> Tensor {
-        crate::backend::active().conv2d_grad_weight(grad_out, input, weight_shape, pad)
+        crate::conv::conv2d_grad_weight(grad_out, input, weight_shape, pad)
     }
     // ------------------------------------------------------------------
     // Structural ops

@@ -1,25 +1,23 @@
-//! Gradient and backend checks of the fused LSTM sequence node.
+//! Gradient and thread-count checks of the fused LSTM sequence node.
 //!
 //! * Central finite differences confirm the hand-written backward
 //!   through time of both feeds ([`Var::lstm_rollout`],
-//!   [`Var::lstm_last_hidden`]) under the Scalar and the Simd backend,
-//!   following the tape's own `grad_check`.
+//!   [`Var::lstm_last_hidden`]), following the tape's own
+//!   `grad_check`.
 //! * At `default_hourly` shapes (hidden 16, 12 context channels, the
 //!   generator's 168 steps and the discriminator's 48-step window),
-//!   Simd's values and gradients are Scalar's, bit for bit: the node
-//!   has one implementation, activations included, for both backends.
-//!   They are also bit-identical at 1, 2 and 4 threads.
+//!   values and gradients are bit-identical at 1, 2 and 4 threads.
 //!
-//! The scalar backend's bit-for-bit contract with the per-step chain
-//! is `spectragan-nn`'s `tests/lstm_seq.rs`.
+//! The node's bit-for-bit contract with the per-step chain is
+//! `spectragan-nn`'s `tests/lstm_seq.rs`.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use spectragan_tensor::{pool, set_backend, BackendKind, Tape, Tensor, Var};
+use spectragan_tensor::{pool, Tape, Tensor, Var};
 use std::rc::Rc;
 use std::sync::Mutex;
 
-/// Backend and thread overrides are process-global; serialize.
+/// The thread override is process-global; serialize.
 static LOCK: Mutex<()> = Mutex::new(());
 
 /// Which feed a graph uses, with its row count, hidden width, steps and
@@ -125,31 +123,26 @@ fn grad_check(feed: Feed, inputs: &[Tensor]) {
 }
 
 #[test]
-fn finite_differences_match_the_backward_on_both_backends() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn finite_differences_match_the_backward() {
     let mut rng = StdRng::seed_from_u64(7);
-    for backend in [BackendKind::Scalar, BackendKind::Simd] {
-        set_backend(Some(backend));
-        for feed in [
-            Feed::Rollout { n: 2, hs: 3, t: 5 },
-            Feed::Rollout { n: 1, hs: 2, t: 1 },
-            Feed::LastHidden {
-                n: 2,
-                hs: 3,
-                t: 4,
-                c: 2,
-            },
-            Feed::LastHidden {
-                n: 3,
-                hs: 2,
-                t: 1,
-                c: 1,
-            },
-        ] {
-            grad_check(feed, &operands(feed, &mut rng));
-        }
+    for feed in [
+        Feed::Rollout { n: 2, hs: 3, t: 5 },
+        Feed::Rollout { n: 1, hs: 2, t: 1 },
+        Feed::LastHidden {
+            n: 2,
+            hs: 3,
+            t: 4,
+            c: 2,
+        },
+        Feed::LastHidden {
+            n: 3,
+            hs: 2,
+            t: 1,
+            c: 1,
+        },
+    ] {
+        grad_check(feed, &operands(feed, &mut rng));
     }
-    set_backend(None);
 }
 
 fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
@@ -159,7 +152,7 @@ fn bits(ts: &[Tensor]) -> Vec<Vec<u32>> {
 }
 
 #[test]
-fn simd_equals_scalar_and_ignores_the_thread_count_at_default_hourly_shapes() {
+fn ignores_the_thread_count_at_default_hourly_shapes() {
     let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let mut rng = StdRng::seed_from_u64(11);
     for feed in [
@@ -176,24 +169,16 @@ fn simd_equals_scalar_and_ignores_the_thread_count_at_default_hourly_shapes() {
         },
     ] {
         let inputs = operands(feed, &mut rng);
-        set_backend(Some(BackendKind::Scalar));
         pool::set_threads(Some(1));
-        let scalar = value_and_grads(feed, &inputs);
-        set_backend(Some(BackendKind::Simd));
-        let simd = value_and_grads(feed, &inputs);
-        assert!(
-            bits(&simd) == bits(&scalar),
-            "{feed:?}: simd differs from scalar"
-        );
+        let serial = value_and_grads(feed, &inputs);
         for threads in [2, 4] {
             pool::set_threads(Some(threads));
             let again = value_and_grads(feed, &inputs);
             assert!(
-                bits(&again) == bits(&simd),
-                "{feed:?}: simd at {threads} threads differs from 1 thread"
+                bits(&again) == bits(&serial),
+                "{feed:?}: {threads} threads differ from 1 thread"
             );
         }
     }
     pool::set_threads(None);
-    set_backend(None);
 }

@@ -128,6 +128,22 @@ fn special_values() {
     assert_eq!(math::exp(-104.0).to_bits(), 0);
 }
 
+/// The tape's `tanh` and `sigmoid` saturate far outside the working
+/// range and keep their signed zeros.
+#[test]
+fn tape_activations_saturate_and_keep_signed_zeros() {
+    use spectragan_tensor::{Tape, Tensor};
+    let x = Tensor::from_vec(vec![-1e30, -100.0, -0.0, 0.0, 100.0, 1e30], [6]);
+    let tape = Tape::new();
+    let t = tape.leaf(x.clone()).tanh().value().as_ref().clone();
+    let s = tape.leaf(x).sigmoid().value().as_ref().clone();
+    let (t, s) = (t.data(), s.data());
+    assert_eq!([t[0], t[1], t[4], t[5]], [-1.0, -1.0, 1.0, 1.0], "tanh");
+    assert_eq!(t[2].to_bits(), (-0.0f32).to_bits(), "tanh(-0)");
+    assert_eq!(t[3].to_bits(), 0.0f32.to_bits(), "tanh(+0)");
+    assert_eq!([s[0], s[5]], [0.0, 1.0], "sigmoid");
+}
+
 #[test]
 fn slice_helpers_match_the_scalar_functions() {
     let xs: Vec<f32> = (0..1000).map(|i| (i as f32 - 500.0) * 0.037).collect();

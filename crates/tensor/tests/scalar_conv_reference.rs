@@ -1,11 +1,11 @@
-//! Bit-for-bit equality of the Scalar conv kernels with the historical
-//! loop nests they replaced.
+//! Bit-for-bit equality of the conv kernels with the historical loop
+//! nests they replaced.
 //!
-//! The Scalar backend's contract is the per-element summation order of
-//! the original kernels, not their loop structure. The three reference
+//! The kernels' contract is the per-element summation order of the
+//! original kernels, not their loop structure. The three reference
 //! functions below are those original loop nests, kept verbatim (run
 //! tile by tile on one thread), and every property compares the bits
-//! of the backend's output against them: same operands, same order,
+//! of the kernels' output against them: same operands, same order,
 //! same `+0.0` start. Inputs are seeded with `±0.0`, `±inf` and NaN,
 //! whose results depend on order and sign where finite data may not.
 //! NaN payloads are not compared — the compiler may commute the
@@ -14,13 +14,16 @@
 //! The golden fixtures only reach the tiny model's shapes; these
 //! properties cover ragged shapes, padding at least as wide as the
 //! kernel, kernels that just fit the padded input, and calls on both
-//! sides of the pool's serial cutoff at 1, 2 and 4 threads.
+//! sides of the pool's serial cutoff at 1, 2 and 4 threads. The forward
+//! pass and the input gradient are compiled twice, a baseline entry and
+//! an AVX2 one; the public calls run the one the CPU supports, and
+//! `both_entries_match_the_historical_loop_nests` holds each to the
+//! loop nests.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use spectragan_tensor::backend::scalar::ScalarBackend;
-use spectragan_tensor::{pool, Backend, Tensor};
+use spectragan_tensor::{conv2d_grad_input_per_entry, conv2d_per_entry, pool, Tensor};
 
 /// `pool::set_threads` is process-global; serialize the sweeps.
 static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -196,9 +199,9 @@ fn check(geometry: Geometry, special_rate: u32, seed: u64) -> Result<(), String>
     for threads in THREADS {
         pool::set_threads(Some(threads));
         let got = [
-            ScalarBackend.conv2d(&input, &weight, pad),
-            ScalarBackend.conv2d_grad_input(&grad_out, &weight, input.shape(), pad),
-            ScalarBackend.conv2d_grad_weight(&grad_out, &input, weight.shape(), pad),
+            input.conv2d(&weight, pad),
+            Tensor::conv2d_grad_input(&grad_out, &weight, input.shape(), pad),
+            Tensor::conv2d_grad_weight(&grad_out, &input, weight.shape(), pad),
         ];
         let names = ["conv2d", "conv2d_grad_input", "conv2d_grad_weight"];
         for ((name, got), want) in names.iter().zip(&got).zip(&want) {
@@ -272,4 +275,57 @@ fn parallel_calls_match_the_historical_loop_nests() {
             check(geometry, special_rate, seed).unwrap();
         }
     }
+}
+
+/// The baseline and the AVX2 entry of the forward pass and the input
+/// gradient, each against the loop nests, on random geometries (wide
+/// padding and non-finite values included) at one thread. Without AVX2
+/// the baseline entry is checked alone.
+#[test]
+fn both_entries_match_the_historical_loop_nests() {
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    pool::set_threads(Some(1));
+    let mut rng = StdRng::seed_from_u64(0xe47);
+    let mut cases = 0;
+    while cases < 200 {
+        let (kh, kw, pad) = (
+            rng.gen_range(1..=5),
+            rng.gen_range(1..=5),
+            rng.gen_range(0..=3),
+        );
+        let (h, w) = (rng.gen_range(0..=9), rng.gen_range(0..=9));
+        if h + 2 * pad < kh || w + 2 * pad < kw {
+            continue;
+        }
+        cases += 1;
+        let (n, cin, cout) = (
+            rng.gen_range(1..=2),
+            rng.gen_range(1..=9),
+            rng.gen_range(1..=6),
+        );
+        let special_rate = [0, 32, 5][cases % 3];
+        let geometry = (n, cin, cout, h, w, kh, kw, pad);
+        let (oh, ow) = (h + 2 * pad - kh + 1, w + 2 * pad - kw + 1);
+        let input = seeded([n, cin, h, w], special_rate, &mut rng);
+        let weight = seeded([cout, cin, kh, kw], special_rate, &mut rng);
+        let grad_out = seeded([n, cout, oh, ow], special_rate, &mut rng);
+        let fwd = reference_conv2d(&input, &weight, pad);
+        let gi = reference_grad_input(&grad_out, &weight, &input, pad);
+        let got_fwd = conv2d_per_entry(&input, &weight, pad);
+        let got_gi = conv2d_grad_input_per_entry(&grad_out, &weight, input.shape(), pad);
+        for (name, want, got) in [
+            ("conv2d", &fwd, got_fwd),
+            ("conv2d_grad_input", &gi, got_gi),
+        ] {
+            for (entry, got) in got {
+                if let Some((i, a, b)) = bit_mismatch(&got, want) {
+                    panic!(
+                        "{name}, {entry} entry, at {geometry:?}, special_rate={special_rate}: \
+                         element {i} is {a:e}, reference {b:e}"
+                    );
+                }
+            }
+        }
+    }
+    pool::set_threads(None);
 }
